@@ -14,7 +14,8 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, _jaccard_udf
+from ..core.search import SearchStats
+from ..core.similarity import sim_expr
 
 
 class LocalBrute:
@@ -49,7 +50,8 @@ from pyspark.sql import types as T  # noqa: E402
 
 
 class SparkBrute:
-    """Full-scan verification of the whole database per query batch."""
+    """Full-scan verification of the whole database per query batch
+    (Jaccard only)."""
 
     def __init__(self, spark: SparkSession, data: DataFrame):
         self.spark = spark
@@ -70,7 +72,7 @@ class SparkBrute:
         )
         qdf = self.spark.createDataFrame(pdf, schema=schema)
         return self.data.crossJoin(F.broadcast(qdf)).select(
-            "qid", "sid", _jaccard_udf("q_tokens", "tokens").alias("sim")
+            "qid", "sid", sim_expr("jaccard").alias("sim")
         )
 
     def range_batch(self, queries: Sequence[np.ndarray], delta: float) -> pd.DataFrame:

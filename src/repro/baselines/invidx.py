@@ -14,7 +14,7 @@ Standard prefix-filter search over a full token inverted index:
 
 The Spark variant generates candidates with a distributed token join
 (exploded query prefixes against the postings DataFrame) and verifies
-with the shared pandas UDF.
+with the shared built-in Jaccard expression; it is Jaccard-only.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, _jaccard_udf
+from ..core.search import SearchStats
+from ..core.similarity import sim_expr
+from .brute import SparkBrute
 
 
 class LocalInvIdx:
@@ -119,7 +121,9 @@ from pyspark.sql import types as T  # noqa: E402
 
 
 class SparkInvIdx:
-    """Distributed prefix-filter search over a postings DataFrame."""
+    """Distributed prefix-filter search over a postings DataFrame.
+
+    Jaccard only: the prefix and size filters are Jaccard's."""
 
     def __init__(self, spark: SparkSession, data: DataFrame, n_tokens: int):
         self.spark = spark
@@ -180,7 +184,7 @@ class SparkInvIdx:
         return (
             cands.join(self.data, "sid")
             .join(F.broadcast(qdf), "qid")
-            .select("qid", "sid", _jaccard_udf("q_tokens", "tokens").alias("sim"))
+            .select("qid", "sid", sim_expr("jaccard").alias("sim"))
             .where(F.col("sim") >= delta)
             .orderBy("qid", F.desc("sim"), "sid")
             .toPandas()
@@ -196,9 +200,10 @@ class SparkInvIdx:
         delta = 1.0
         while remaining:
             sub = [queries[i] for i in remaining]
-            out = self.range_batch(sub, max(delta, 1e-9)) if delta > 0 else None
-            if delta <= 0:
-                out = SparkBruteForVerify(self.spark, self.data).range_batch(sub, 0.0)
+            if delta > 0:
+                out = self.range_batch(sub, max(delta, 1e-9))
+            else:
+                out = SparkBrute(self.spark, self.data).range_batch(sub, 0.0)
             out["qid"] = out["qid"].map({i: q for i, q in enumerate(remaining)})
             for qid in list(remaining):
                 mine = out[out["qid"] == qid]
@@ -222,15 +227,3 @@ class SparkInvIdx:
             .sort_values(["qid", "sim", "sid"], ascending=[True, False, True])
             .reset_index(drop=True)
         )
-
-
-class SparkBruteForVerify:
-    """Fallback full verification used when δ-descent reaches 0."""
-
-    def __init__(self, spark: SparkSession, data: DataFrame):
-        from .brute import SparkBrute
-
-        self._b = SparkBrute(spark, data)
-
-    def range_batch(self, queries, delta):
-        return self._b.range_batch(queries, delta)

@@ -19,7 +19,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .similarity import group_upper_bounds, sim_fn, sim_many
+from .packed import PackedSets
+from .similarity import group_upper_bounds, sim_fn
 
 
 def group_token_union(sets: Sequence[np.ndarray], members: Sequence[int]) -> np.ndarray:
@@ -79,6 +80,7 @@ def gpo(
     ``φ(G)`` for large data (§4.3 footnote 2).
     """
     f = sim_fn(measure)
+    packed = PackedSets(sets)
     rng = np.random.default_rng(seed)
     total = 0.0
     for g in np.unique(groups):
@@ -95,7 +97,7 @@ def gpo(
             total += est * m * m
         else:
             for i, x in enumerate(members):
-                sims = sim_many(sets[x], [sets[y] for y in members], measure)
+                sims = packed.sims_subset(sets[x], members, measure)
                 total += np.sum(1.0 - sims) - (1.0 - sims[i])
     return float(total)
 

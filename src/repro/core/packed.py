@@ -5,15 +5,17 @@ factors are comparable (the paper's engines are all C++; a per-candidate
 Python loop would penalize whichever engine verifies at group
 granularity). Sets are stored as one concatenated token array plus
 offsets; intersection sizes against a query are computed with one
-``searchsorted`` over the concatenation and a segmented sum, from which
-Jaccard / Dice / Cosine all follow (they only need ``|A∩B|``, ``|A|``,
-``|B|``).
+``searchsorted`` over the concatenation and a segmented sum, and the
+measure follows from ``|A∩B|``, ``|A|`` and ``|B|`` through
+:func:`.similarity.sim_from_counts`.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .similarity import sim_from_counts
 
 
 class PackedSets:
@@ -46,7 +48,7 @@ class PackedSets:
         """Similarity of ``query`` to every stored set."""
         q = np.unique(query)
         c = self._inter_counts(q, self.concat, self.offsets)
-        return _finish(c, len(q), self.lens, measure)
+        return sim_from_counts(c, len(q), self.lens, measure)
 
     def sims_subset(
         self, query: np.ndarray, ids: np.ndarray, measure: str = "jaccard"
@@ -66,18 +68,5 @@ class PackedSets:
         first = np.repeat(self.offsets[ids] - starts_out[:-1], l)
         concat = self.concat[first + np.arange(total)]
         c = self._inter_counts(q, concat, starts_out)
-        return _finish(c, len(q), l, measure)
+        return sim_from_counts(c, len(q), l, measure)
 
-
-def _finish(c: np.ndarray, q_len: int, lens: np.ndarray, measure: str) -> np.ndarray:
-    c = c.astype(np.float64)
-    if measure == "jaccard":
-        denom = q_len + lens - c
-        return np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
-    if measure == "dice":
-        denom = q_len + lens.astype(np.float64)
-        return np.divide(2 * c, denom, out=np.zeros_like(c), where=denom > 0)
-    if measure == "cosine":
-        denom = np.sqrt(q_len * lens.astype(np.float64))
-        return np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
-    raise ValueError(f"unknown measure {measure!r}")

@@ -10,22 +10,23 @@ Two engines:
 - :class:`SparkLES3` — the distributed dataflow: the database lives in a
   DataFrame ``(sid, tokens, gid)`` partitioned by group; per-query
   candidate group lists (computed from the broadcastable TGM) are
-  broadcast-joined against the data and verified by a vectorized
-  pandas UDF. kNN is answered exactly in two passes: pass 1 verifies
-  each query's best groups to get a k-th-similarity lower bound, pass 2
-  verifies every group whose UB clears that bound.
+  broadcast-joined against the data and verified by a built-in array
+  expression (:func:`.similarity.sim_expr`). kNN is answered exactly in
+  two passes: pass 1 verifies each query's best groups to get a
+  k-th-similarity lower bound, pass 2 verifies every group whose UB
+  clears that bound.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
 
 from .packed import PackedSets
-from .similarity import group_upper_bounds
+from .similarity import group_upper_bounds, sim_expr
 from .tgm import HTGM, TGM
 
 
@@ -185,18 +186,6 @@ class LocalLES3:
 from pyspark.sql import DataFrame, SparkSession  # noqa: E402
 from pyspark.sql import functions as F  # noqa: E402
 from pyspark.sql import types as T  # noqa: E402
-from pyspark.sql.functions import pandas_udf  # noqa: E402
-
-
-@pandas_udf(T.DoubleType())
-def _jaccard_udf(a: pd.Series, b: pd.Series) -> pd.Series:
-    """Vectorized Jaccard between two array<long> columns (verify step)."""
-    out = np.empty(len(a), dtype=np.float64)
-    for i, (x, y) in enumerate(zip(a, b)):
-        sx, sy = set(x), set(y)
-        u = len(sx | sy)
-        out[i] = len(sx & sy) / u if u else 0.0
-    return pd.Series(out)
 
 
 RESULT_SCHEMA = "qid bigint, sid bigint, sim double"
@@ -215,9 +204,17 @@ def attach_groups(
     return df.join(gdf, "sid").repartition("gid")
 
 
+def _count_results(out: pd.DataFrame, stats: BatchStats) -> None:
+    """Set each query's ``n_results`` to its row count in ``out``."""
+    counts = out.groupby("qid").size()
+    for qid, st in enumerate(stats.per_query):
+        st.n_results = int(counts.get(qid, 0))
+
+
 class SparkLES3:
     """Distributed LES³: TGM-driven candidate groups broadcast-joined
-    against the group-partitioned database, verified with a pandas UDF."""
+    against the group-partitioned database, verified with
+    :func:`.similarity.sim_expr` under any of the three measures."""
 
     def __init__(
         self,
@@ -246,20 +243,10 @@ class SparkLES3:
         )
         return self.spark.createDataFrame(pdf, schema=schema)
 
-    def _verify(self, qdf: DataFrame, delta_per_q: Dict[int, float] | float) -> DataFrame:
+    def _verify(self, qdf: DataFrame, delta: float) -> DataFrame:
         joined = self.data.join(F.broadcast(qdf), "gid")
-        scored = joined.select(
-            "qid", "sid", _jaccard_udf("q_tokens", "tokens").alias("sim")
-        )
-        if isinstance(delta_per_q, float):
-            return scored.where(F.col("sim") >= delta_per_q)
-        tpdf = pd.DataFrame(
-            {"qid": list(delta_per_q), "thr": [delta_per_q[q] for q in delta_per_q]}
-        )
-        tdf = self.spark.createDataFrame(tpdf)
-        return scored.join(F.broadcast(tdf), "qid").where(
-            F.col("sim") >= F.col("thr")
-        ).drop("thr")
+        scored = joined.select("qid", "sid", sim_expr(self.measure).alias("sim"))
+        return scored.where(F.col("sim") >= delta)
 
     # -- range -------------------------------------------------------------
     def range_batch(
@@ -286,9 +273,7 @@ class SparkLES3:
             .orderBy("qid", F.desc("sim"), "sid")
             .toPandas()
         )
-        counts = out.groupby("qid").size()
-        for qid, st in enumerate(stats.per_query):
-            st.n_results = int(counts.get(qid, 0))
+        _count_results(out, stats)
         return out, stats
 
     # -- kNN ---------------------------------------------------------------
@@ -321,13 +306,10 @@ class SparkLES3:
             self._verify(self._query_df(queries, seed_groups), 0.0)
             .toPandas()
         )
-        thresholds: Dict[int, float] = {}
+        thresholds: List[float] = []
         for qid in range(len(queries)):
             sims = pass1.loc[pass1["qid"] == qid, "sim"].to_numpy()
-            if len(sims) >= k:
-                thresholds[qid] = float(np.partition(sims, -k)[-k])
-            else:
-                thresholds[qid] = 0.0
+            thresholds.append(float(np.partition(sims, -k)[-k]) if len(sims) >= k else 0.0)
         rest: List[np.ndarray] = []
         for qid, (ubs, seeds) in enumerate(zip(ubs_all, seed_groups)):
             mask = ubs >= thresholds[qid]
@@ -339,7 +321,6 @@ class SparkLES3:
                 self.tgm.group_sizes[seeds].sum()
                 + self.tgm.group_sizes[np.flatnonzero(mask)].sum()
             )
-            st.n_results = k
         frames = [pass1]
         if any(len(g) for g in rest):
             frames.append(self._verify(self._query_df(queries, rest), 0.0).toPandas())
@@ -350,4 +331,5 @@ class SparkLES3:
             .head(k)
             .reset_index(drop=True)
         )
+        _count_results(top, stats)
         return top, stats

@@ -9,14 +9,36 @@ measures here satisfy the TGM Applicability Property (Theorem 3.1):
 
 so ``Sim(Q, Q ∩ GS_g)`` upper-bounds the similarity between ``Q`` and
 every member of group ``g`` (Equation 2 generalized beyond Jaccard).
+
+Each measure is written once, in :data:`_FORMULAS`, as a function of
+``c = |Q∩S|``, ``q = |Q|`` and ``s = |S|``. The scalar functions, the
+vectorized verify kernel (:mod:`.packed`), the group upper bounds and the
+Spark verify expression all evaluate that same formula, so they agree to
+the last bit; a zero denominator gives similarity 0 everywhere.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Iterable
 
 import numpy as np
 
 MEASURES = ("jaccard", "dice", "cosine")
+
+# measure -> (c, q, s, sqrt) -> (numerator, denominator). ``sqrt`` comes
+# from the backend evaluating the formula (math, numpy or Spark).
+_FORMULAS = {
+    "jaccard": lambda c, q, s, sqrt: (c, q + s - c),
+    "dice": lambda c, q, s, sqrt: (2 * c, q + s),
+    "cosine": lambda c, q, s, sqrt: (c, sqrt(q * s)),
+}
+
+
+def _formula(measure: str):
+    try:
+        return _FORMULAS[measure]
+    except KeyError:
+        raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
 
 
 def tokens(xs: Iterable[int], *, multiset: bool = False) -> np.ndarray:
@@ -32,95 +54,76 @@ def intersection_size(a: np.ndarray, b: np.ndarray) -> int:
     return len(np.intersect1d(a, b, assume_unique=False))
 
 
+def sim_from_counts(c, q, s, measure: str = "jaccard") -> np.ndarray:
+    """Vectorized ``Sim`` from ``|Q∩S|``, ``|Q|`` and ``|S|`` (broadcast).
+
+    A denominator is 0 only where ``c`` is 0, and is at least 1 anywhere
+    else, so dividing by ``max(den, 1)`` scores an empty set 0 and leaves
+    every other quotient unchanged.
+    """
+    num, den = _formula(measure)(np.asarray(c, dtype=np.float64), q, s, np.sqrt)
+    return num / np.maximum(den, 1)
+
+
+def pair_sim_from_counts(c: int, q: int, s: int, measure: str = "jaccard") -> float:
+    """Scalar :func:`sim_from_counts`, with the same rounding."""
+    num, den = _formula(measure)(float(c), float(q), float(s), math.sqrt)
+    return num / max(den, 1.0)
+
+
+def _pair_sim(a: np.ndarray, b: np.ndarray, measure: str) -> float:
+    a, b = np.unique(a), np.unique(b)
+    c = len(np.intersect1d(a, b, assume_unique=True))
+    return pair_sim_from_counts(c, len(a), len(b), measure)
+
+
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     """|a∩b| / |a∪b|; 0 for two empty sets by convention."""
-    if len(a) == 0 and len(b) == 0:
-        return 0.0
-    c = intersection_size(a, b)
-    u = len(np.union1d(a, b))
-    return c / u if u else 0.0
+    return _pair_sim(a, b, "jaccard")
 
 
 def dice(a: np.ndarray, b: np.ndarray) -> float:
     """2|a∩b| / (|a| + |b|)."""
-    if len(a) == 0 and len(b) == 0:
-        return 0.0
-    denom = len(np.unique(a)) + len(np.unique(b))
-    return 2.0 * intersection_size(a, b) / denom if denom else 0.0
+    return _pair_sim(a, b, "dice")
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """|a∩b| / sqrt(|a| * |b|) (set cosine similarity)."""
-    na, nb = len(np.unique(a)), len(np.unique(b))
-    if na == 0 or nb == 0:
-        return 0.0
-    return intersection_size(a, b) / np.sqrt(na * nb)
+    return _pair_sim(a, b, "cosine")
 
 
 def sim_fn(measure: str) -> Callable[[np.ndarray, np.ndarray], float]:
     """Look up a pairwise similarity function by name."""
-    try:
-        return {"jaccard": jaccard, "dice": dice, "cosine": cosine}[measure]
-    except KeyError:  # pragma: no cover - guarded by MEASURES in callers
-        raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
-
-
-def group_upper_bound(c: float, q_size: int, measure: str = "jaccard") -> float:
-    """``Sim(Q, R)`` where ``R = Q ∩ GS_g`` with ``|R| = c``, ``|Q| = q_size``.
-
-    This is Equation (2) for Jaccard and its analogue for the other
-    measures: since ``R ⊆ Q``, the union is ``Q`` itself, giving closed
-    forms Jaccard ``c/|Q|``, Dice ``2c/(|Q|+c)``, Cosine ``sqrt(c/|Q|)``.
-    """
-    if q_size == 0:
-        return 0.0
-    if measure == "jaccard":
-        return c / q_size
-    if measure == "dice":
-        return 2.0 * c / (q_size + c)
-    if measure == "cosine":
-        return float(np.sqrt(c / q_size))
-    raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    _formula(measure)
+    return {"jaccard": jaccard, "dice": dice, "cosine": cosine}[measure]
 
 
 def group_upper_bounds(
     counts: np.ndarray, q_size: int, measure: str = "jaccard"
 ) -> np.ndarray:
-    """Vectorized :func:`group_upper_bound` over per-group match counts."""
+    """``Sim(Q, R)`` with ``R = Q ∩ GS_g``, ``|R| = counts[g]``, ``|Q| = q_size``.
+
+    This is Equation (2) for Jaccard and its analogue for the other
+    measures: ``R ⊆ Q`` gives ``|Q∩R| = |R|``, so the bound is the
+    measure's formula at ``s = c``. It equals ``Sim(Q, S)`` exactly for a
+    member ``S = R``.
+    """
     counts = np.asarray(counts, dtype=np.float64)
     if q_size == 0:
         return np.zeros_like(counts)
-    if measure == "jaccard":
-        return counts / q_size
-    if measure == "dice":
-        return 2.0 * counts / (q_size + counts)
-    if measure == "cosine":
-        return np.sqrt(counts / q_size)
-    raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    return sim_from_counts(counts, q_size, counts, measure)
 
 
-def jaccard_many(query: np.ndarray, cands: Sequence[np.ndarray]) -> np.ndarray:
-    """Jaccard between ``query`` and each candidate — the verify-step kernel.
+def sim_expr(measure: str):
+    """Spark Column: ``Sim(q_tokens, tokens)`` from built-in array functions.
 
-    Vectorized over the candidate list via a membership table on the
-    query's tokens; linear in total candidate size, as in the paper's
-    verification cost analysis.
+    ``q_tokens`` must hold distinct tokens. Every denominator is guarded,
+    since ANSI-mode Spark raises on division by zero.
     """
-    q = np.unique(query)
-    out = np.empty(len(cands), dtype=np.float64)
-    for i, c in enumerate(cands):
-        c = np.unique(c)
-        inter = np.count_nonzero(np.isin(c, q, assume_unique=True))
-        union = len(q) + len(c) - inter
-        out[i] = inter / union if union else 0.0
-    return out
+    from pyspark.sql import functions as F
 
-
-def sim_many(
-    query: np.ndarray, cands: Sequence[np.ndarray], measure: str = "jaccard"
-) -> np.ndarray:
-    """Similarity between ``query`` and each candidate under ``measure``."""
-    if measure == "jaccard":
-        return jaccard_many(query, cands)
-    f = sim_fn(measure)
-    return np.array([f(query, c) for c in cands], dtype=np.float64)
+    c = F.size(F.array_intersect("q_tokens", "tokens")).cast("double")
+    q = F.size("q_tokens").cast("double")
+    s = F.size(F.array_distinct("tokens")).cast("double")
+    num, den = _formula(measure)(c, q, s, F.sqrt)
+    return F.when(den > 0, num / den).otherwise(0.0)

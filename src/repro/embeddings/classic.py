@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.similarity import sim_many
+from ..core.packed import PackedSets
 
 
 def one_hot(sets: Sequence[np.ndarray], n_tokens: int) -> np.ndarray:
@@ -37,9 +37,10 @@ def pca_embed(sets: Sequence[np.ndarray], n_tokens: int, d: int) -> np.ndarray:
 
 def distance_matrix(sets: Sequence[np.ndarray]) -> np.ndarray:
     n = len(sets)
+    packed = PackedSets(sets)
     dm = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
-        dm[i, i + 1 :] = 1.0 - sim_many(sets[i], sets[i + 1 :])
+        dm[i, i + 1 :] = 1.0 - packed.sims(sets[i])[i + 1 :]
     return dm + dm.T
 
 

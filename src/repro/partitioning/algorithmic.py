@@ -9,7 +9,8 @@ are prohibitive.
 Pairwise Jaccard here runs on pre-built Python ``frozenset``s — for the
 small sets these baselines handle, hash-set intersection is several
 times faster than numpy set ops, and these baselines are the slow side
-of the comparison already.
+of the comparison already. The counts go through the shared formula
+table (:func:`..core.similarity.pair_sim_from_counts`).
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
+
+from ..core.similarity import pair_sim_from_counts
 
 
 @dataclass
@@ -30,10 +33,7 @@ class PartitionRun:
 
 
 def _dist(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 1.0
-    u = len(a | b)
-    return 1.0 - (len(a & b) / u if u else 0.0)
+    return 1.0 - pair_sim_from_counts(len(a & b), len(a), len(b))
 
 
 def _avg_dist_to_group(

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.similarity import sim_many
+from ..core.packed import PackedSets
 from .algorithmic import PartitionRun
 
 
@@ -32,13 +32,14 @@ def knn_graph(
 ) -> Dict[int, Set[int]]:
     """Undirected kNN similarity graph (self excluded)."""
     n = len(sets)
+    packed = PackedSets(sets)
     adj: Dict[int, Set[int]] = defaultdict(set)
     for i in range(n):
         if engine is not None:
             res, _ = engine.knn(sets[i], k + 1)
             nbrs = [s for s, _ in res if s != i][:k]
         else:
-            sims = sim_many(sets[i], sets)
+            sims = packed.sims(sets[i])
             sims[i] = -np.inf
             nbrs = np.argsort(-sims, kind="stable")[:k]
         for j in nbrs:
@@ -50,9 +51,10 @@ def knn_graph(
 def range_graph(sets: Sequence[np.ndarray], delta: float) -> Dict[int, Set[int]]:
     """Edge between every pair with ``Sim >= δ``."""
     n = len(sets)
+    packed = PackedSets(sets)
     adj: Dict[int, Set[int]] = defaultdict(set)
     for i in range(n):
-        sims = sim_many(sets[i], sets[i + 1 :])
+        sims = packed.sims(sets[i])[i + 1 :]
         for off in np.flatnonzero(sims >= delta):
             j = i + 1 + int(off)
             adj[i].add(j)

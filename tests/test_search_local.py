@@ -7,7 +7,7 @@ from repro.baselines.brute import LocalBrute
 from repro.core.l2p import l2p_partition
 from repro.core.ptr import ptr
 from repro.core.search import LocalLES3, SearchStats
-from repro.core.similarity import sim_many
+from repro.core.similarity import cosine, sim_fn, tokens
 from repro.core.tgm import HTGM, TGM
 from repro.synth_data import dataset, gen_sets, powerlaw_sim_db, sample_queries
 
@@ -106,7 +106,8 @@ class TestMeasures:
     def test_exact_under_other_measures(self, measure):
         db = gen_sets(n_sets=300, n_tokens=250, avg_size=7, seed=6)
         _, _, eng = build(db, n_groups=8, measure=measure)
-        brute_sims = lambda q: sim_many(q, db.sets, measure)
+        f = sim_fn(measure)
+        brute_sims = lambda q: np.array([f(q, s) for s in db.sets])
         for q in sample_queries(db, n=5, seed=13):
             got, _ = eng.knn(q, 5)
             exp = np.sort(brute_sims(q))[::-1][:5]
@@ -116,6 +117,18 @@ class TestMeasures:
             got_r, _ = eng.range(q, 0.4)
             exp_ids = np.flatnonzero(brute_sims(q) >= 0.4)
             assert sorted(i for i, _ in got_r) == sorted(exp_ids.tolist())
+
+    def test_cosine_range_at_a_tight_bound(self):
+        """A member equal to Q ∩ GS has similarity equal to its group's
+        bound. With δ set to that similarity the group must survive the
+        filter: sqrt(1/3) lies one ulp below 1/sqrt(3)."""
+        sets = [tokens([1]), tokens([7, 8, 9])]
+        tgm = TGM.from_partition(sets, np.array([0, 1]))
+        q = tokens([1, 2, 3])
+        delta = cosine(q, sets[0])
+        got, _ = LocalLES3(sets, tgm, "cosine").range(q, delta)
+        exp, _ = LocalBrute(sets, "cosine").range(q, delta)
+        assert got == exp == [(0, delta)]
 
 
 class TestHierarchicalSearch:

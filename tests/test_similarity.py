@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import similarity as sim
+from repro.core.packed import PackedSets
 
 TOKENS = st.lists(st.integers(0, 50), min_size=0, max_size=20)
 
@@ -50,7 +51,7 @@ class TestPairwiseMeasures:
 
     def test_unknown_measure_raises(self):
         with pytest.raises(ValueError):
-            sim.group_upper_bound(1, 2, "nope")
+            sim.sim_fn("nope")
         with pytest.raises(ValueError):
             sim.group_upper_bounds(np.array([1]), 2, "nope")
 
@@ -73,15 +74,20 @@ class TestGroupUpperBound:
 
     def test_jaccard_closed_form_matches_paper_example(self):
         # Q = {t1,t2,t3}, Q∩S = {t1,t2}: Jaccard bound 2/3, cosine ~0.82
-        assert sim.group_upper_bound(2, 3, "jaccard") == pytest.approx(2 / 3)
-        assert sim.group_upper_bound(2, 3, "cosine") == pytest.approx(2 / np.sqrt(6))
+        assert sim.group_upper_bounds([2], 3, "jaccard")[0] == pytest.approx(2 / 3)
+        assert sim.group_upper_bounds([2], 3, "cosine")[0] == pytest.approx(2 / np.sqrt(6))
 
     @pytest.mark.parametrize("measure", sim.MEASURES)
     def test_closed_form_equals_direct_sim_of_intersection(self, measure):
+        """UB(c, |Q|) is bit-identical to Sim(Q, R) for R ⊆ Q with |R| = c.
+        Sim(Q, R) depends on R only through |R| when R ⊆ Q, so one R per
+        size covers every subset."""
         f = sim.sim_fn(measure)
-        q = t([1, 2, 3, 4, 5])
-        r = t([2, 3])  # R ⊆ Q with |R| = 2
-        assert sim.group_upper_bound(2, 5, measure) == pytest.approx(f(q, r))
+        for n in range(1, 65):
+            q = t(range(n))
+            ubs = sim.group_upper_bounds(np.arange(n + 1), n, measure)
+            for c in range(n + 1):
+                assert ubs[c] == f(q, q[:c]), (n, c)
 
     @pytest.mark.parametrize("measure", sim.MEASURES)
     @settings(max_examples=60, deadline=None)
@@ -98,10 +104,10 @@ class TestGroupUpperBound:
         sets = [t(s) for s in group]
         gs = np.unique(np.concatenate(sets))
         c = np.count_nonzero(np.isin(qa, gs, assume_unique=True))
-        ub = sim.group_upper_bound(c, len(qa), measure)
+        ub = sim.group_upper_bounds([c], len(qa), measure)[0]
         f = sim.sim_fn(measure)
         for s in sets:
-            assert ub >= f(qa, s) - 1e-12
+            assert ub >= f(qa, s)
 
     @pytest.mark.parametrize("measure", sim.MEASURES)
     def test_bound_is_tight_when_group_contains_intersection(self, measure):
@@ -110,26 +116,31 @@ class TestGroupUpperBound:
         gs = member
         c = np.count_nonzero(np.isin(q, gs, assume_unique=True))
         f = sim.sim_fn(measure)
-        assert sim.group_upper_bound(c, len(q), measure) == pytest.approx(f(q, member))
+        assert sim.group_upper_bounds([c], len(q), measure)[0] == f(q, member)
 
     def test_zero_query_size(self):
-        assert sim.group_upper_bound(0, 0) == 0.0
+        assert list(sim.group_upper_bounds(np.array([0]), 0)) == [0.0]
         assert list(sim.group_upper_bounds(np.array([1.0, 2.0]), 0)) == [0.0, 0.0]
 
 
 class TestVectorizedKernels:
     @pytest.mark.parametrize("measure", sim.MEASURES)
-    def test_sim_many_matches_scalar(self, measure):
+    def test_packed_sims_match_scalar(self, measure):
         rng = np.random.default_rng(0)
         q = t(rng.integers(0, 40, 10))
         cands = [t(rng.integers(0, 40, rng.integers(1, 12))) for _ in range(20)]
+        cands.append(t([]))
         f = sim.sim_fn(measure)
-        got = sim.sim_many(q, cands, measure)
-        np.testing.assert_allclose(got, [f(q, c) for c in cands], atol=1e-12)
+        packed = PackedSets(cands)
+        exp = [f(q, c) for c in cands]
+        assert list(packed.sims(q, measure)) == exp
+        ids = np.array([20, 3, 0, 7])
+        assert list(packed.sims_subset(q, ids, measure)) == [exp[i] for i in ids]
 
     def test_group_upper_bounds_vectorized_matches_scalar(self):
         counts = np.array([0, 1, 3, 5])
+        q = t([1, 2, 3, 4, 5])
         for m in sim.MEASURES:
             got = sim.group_upper_bounds(counts, 5, m)
-            exp = [sim.group_upper_bound(c, 5, m) for c in counts]
-            np.testing.assert_allclose(got, exp, atol=1e-12)
+            exp = [sim.sim_fn(m)(q, q[:c]) for c in counts]
+            assert list(got) == exp
