@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .packed import PackedSets
-from .similarity import group_upper_bounds, sim_fn
+from .similarity import group_upper_bounds, pair_sims, sim_fn
 
 
 def group_token_union(sets: Sequence[np.ndarray], members: Sequence[int]) -> np.ndarray:
@@ -79,7 +79,7 @@ def gpo(
     ordered pairs scaled up — the same approximation the paper applies to
     ``φ(G)`` for large data (§4.3 footnote 2).
     """
-    f = sim_fn(measure)
+    sim_fn(measure)  # rejects an unknown measure before any work
     packed = PackedSets(sets)
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -91,9 +91,7 @@ def gpo(
         if sample is not None and m * (m - 1) > sample:
             xs = rng.choice(members, size=sample)
             ys = rng.choice(members, size=sample)
-            est = np.mean(
-                [0.0 if x == y else 1.0 - f(sets[x], sets[y]) for x, y in zip(xs, ys)]
-            )
+            est = np.mean(np.where(xs == ys, 0.0, 1.0 - pair_sims(sets, xs, ys, measure)))
             total += est * m * m
         else:
             for i, x in enumerate(members):

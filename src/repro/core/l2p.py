@@ -19,7 +19,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .siamese import SiameseMLP, TrainStats
-from .similarity import sim_fn
+from .similarity import pair_sims, sim_fn
 
 
 @dataclass
@@ -87,7 +87,7 @@ def l2p_partition(
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     n = len(sets)
-    f = sim_fn(measure)
+    sim_fn(measure)  # rejects an unknown measure before any work
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
 
@@ -112,9 +112,7 @@ def l2p_partition(
                 continue
             model = SiameseMLP(reps.shape[1], seed=int(rng.integers(1 << 31)))
             pr = sample_pairs(len(members), min(n_pairs, len(members) ** 2), rng)
-            dists = np.array(
-                [1.0 - f(sets[members[i]], sets[members[j]]) for i, j in pr]
-            )
+            dists = 1.0 - pair_sims(sets, members[pr[:, 0]], members[pr[:, 1]], measure)
             stats = model.train(
                 reps[members],
                 pr,

@@ -196,12 +196,14 @@ def attach_groups(
 ) -> DataFrame:
     """Join group labels ``groups[sid]`` onto ``(sid, tokens)`` and
     repartition by group — the physical layout LES³ relies on (groups
-    are verified together; on disk they are stored contiguously)."""
+    are verified together; on disk they are stored contiguously). There are
+    as many partitions as groups, not the session's shuffle-partition
+    count, so a small index does not schedule mostly empty tasks."""
     gpdf = pd.DataFrame(
         {"sid": np.arange(len(groups), dtype=np.int64), "gid": groups.astype(np.int64)}
     )
     gdf = spark.createDataFrame(gpdf)
-    return df.join(gdf, "sid").repartition("gid")
+    return df.join(gdf, "sid").repartition(max(1, len(np.unique(groups))), "gid")
 
 
 def _count_results(out: pd.DataFrame, stats: BatchStats) -> None:

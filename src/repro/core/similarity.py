@@ -19,7 +19,7 @@ the last bit; a zero denominator gives similarity 0 everywhere.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +50,8 @@ def tokens(xs: Iterable[int], *, multiset: bool = False) -> np.ndarray:
 
 
 def intersection_size(a: np.ndarray, b: np.ndarray) -> int:
-    """|a ∩ b| for sorted token arrays (multiset-aware via min counts)."""
+    """|a ∩ b| of the distinct tokens: duplicates count once, so
+    ``[1, 1, 2] ∩ [1, 1, 3]`` has size 1."""
     return len(np.intersect1d(a, b, assume_unique=False))
 
 
@@ -63,6 +64,54 @@ def sim_from_counts(c, q, s, measure: str = "jaccard") -> np.ndarray:
     """
     num, den = _formula(measure)(np.asarray(c, dtype=np.float64), q, s, np.sqrt)
     return num / np.maximum(den, 1)
+
+
+# Pairs per block of :func:`pair_sims`, which bounds the key arrays held
+# at once. Unblocked, L2P on livej-lite raised the benchmark's peak RSS
+# from 192 to 201 MB; 256-pair blocks leave it at 192 MB and run as fast.
+_PAIR_BLOCK = 256
+
+
+def pair_sims(
+    sets: Sequence[np.ndarray], xs: np.ndarray, ys: np.ndarray, measure: str = "jaccard"
+) -> np.ndarray:
+    """``Sim(sets[xs[i]], sets[ys[i]])`` for every ``i``, without a Python
+    call per pair; bit-identical to :func:`sim_fn`.
+
+    Each token is tagged with its pair as the key ``pair * span + token``.
+    One ``np.unique`` per side deduplicates the keys, ``bincount`` of the
+    pairs gives ``|X|`` and ``|Y|``, and the keys the two sides share
+    give ``|X∩Y|``.
+    """
+    _formula(measure)
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    out = np.empty(len(xs), dtype=np.float64)
+    for lo in range(0, len(xs), _PAIR_BLOCK):
+        hi = lo + _PAIR_BLOCK
+        out[lo:hi] = sim_from_counts(*_pair_counts(sets, xs[lo:hi], ys[lo:hi]), measure)
+    return out
+
+
+def _pair_counts(sets, xs, ys):
+    """``(|X∩Y|, |X|, |Y|)`` per pair of one block."""
+    n = len(xs)
+    parts = [sets[i] for i in np.concatenate([xs, ys]).tolist()]
+    lens = np.fromiter(map(len, parts), dtype=np.int64, count=2 * n)
+    toks = np.concatenate(parts).astype(np.int64, copy=False)
+    if len(toks) == 0:
+        return np.zeros(n), lens[:n], lens[n:]
+    lo, hi = int(toks.min()), int(toks.max())
+    if (hi - lo + 1) * n < 1 << 62:
+        toks, span = toks - lo, hi - lo + 1
+    else:  # keys would overflow int64: rank the tokens first
+        uniq, toks = np.unique(toks, return_inverse=True)
+        span = len(uniq)
+    keys = np.repeat(np.tile(np.arange(n), 2) * span, lens) + toks
+    n_x = int(lens[:n].sum())
+    kx, ky = np.unique(keys[:n_x]), np.unique(keys[n_x:])
+    common = np.intersect1d(kx, ky, assume_unique=True)
+    return tuple(np.bincount(k // span, minlength=n) for k in (common, kx, ky))
 
 
 def pair_sim_from_counts(c: int, q: int, s: int, measure: str = "jaccard") -> float:

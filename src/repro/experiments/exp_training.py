@@ -13,7 +13,7 @@ import pandas as pd
 from ..core.l2p import init_partition, sample_pairs
 from ..core.ptr import ptr
 from ..core.siamese import SiameseMLP
-from ..core.similarity import jaccard
+from ..core.similarity import pair_sims
 from ..synth_data import dataset
 from .common import build_les3
 
@@ -33,9 +33,7 @@ def learning_curves(
         members = np.flatnonzero(labels == 0)
         rng = np.random.default_rng(seed)
         pairs = sample_pairs(len(members), n_pairs, rng)
-        dists = np.array(
-            [1.0 - jaccard(db.sets[members[i]], db.sets[members[j]]) for i, j in pairs]
-        )
+        dists = 1.0 - pair_sims(db.sets, members[pairs[:, 0]], members[pairs[:, 1]])
         model = SiameseMLP(reps.shape[1], seed=seed)
         stats = model.train(reps[members], pairs, dists, epochs=epochs)
         for e, loss in enumerate(stats.epoch_losses):

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core import gpo
+from repro.core import gpo, l2p
 from repro.core.l2p import init_partition, l2p_partition, sample_pairs
 from repro.core.ptr import ptr
+from repro.core.similarity import sim_fn
 from repro.synth_data import gen_sets
 
 
@@ -86,6 +87,26 @@ class TestCascade:
         a = l2p_partition(reps, db.sets, n_groups=8, n_init=2, min_group=10, n_pairs=300, seed=5)
         b = l2p_partition(reps, db.sets, n_groups=8, n_init=2, min_group=10, n_pairs=300, seed=5)
         np.testing.assert_array_equal(a.groups, b.groups)
+
+    @pytest.mark.parametrize("measure", ["jaccard", "cosine"])
+    def test_same_levels_as_scalar_pair_loop(self, db, reps, monkeypatch, measure):
+        kw = dict(n_groups=16, n_init=4, min_group=10, n_pairs=600, measure=measure, seed=0)
+        batched = l2p_partition(reps, db.sets, **kw)
+
+        def per_pair(sets, xs, ys, measure):
+            f = sim_fn(measure)
+            return np.array([f(sets[x], sets[y]) for x, y in zip(xs, ys)])
+
+        monkeypatch.setattr(l2p, "pair_sims", per_pair)
+        looped = l2p_partition(reps, db.sets, **kw)
+        assert batched.n_models == looped.n_models
+        assert len(batched.levels) == len(looped.levels)
+        for a, b in zip(batched.levels, looped.levels):
+            np.testing.assert_array_equal(a, b)
+
+    def test_unknown_measure_raises(self, db, reps):
+        with pytest.raises(ValueError):
+            l2p_partition(reps, db.sets, n_groups=8, measure="nope")
 
     def test_beats_random_partitioning_on_gpo(self, db, result):
         rng = np.random.default_rng(0)

@@ -144,3 +144,44 @@ class TestVectorizedKernels:
             got = sim.group_upper_bounds(counts, 5, m)
             exp = [sim.sim_fn(m)(q, q[:c]) for c in counts]
             assert list(got) == exp
+
+
+class TestPairSims:
+    """``pair_sims`` against the scalar ``sim_fn``, to the last bit."""
+
+    @staticmethod
+    def scalar(sets, xs, ys, measure):
+        f = sim.sim_fn(measure)
+        return [f(sets[x], sets[y]) for x, y in zip(xs, ys)]
+
+    @pytest.fixture
+    def sets(self):
+        rng = np.random.default_rng(3)
+        out = [rng.integers(0, 60, rng.integers(1, 15)) for _ in range(40)]  # unsorted, duplicates
+        out += [np.empty(0, dtype=np.int64), np.array([5, 5, 5]), np.array([9, 2, 7])]
+        return out
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_matches_scalar_over_several_blocks(self, sets, measure):
+        rng = np.random.default_rng(4)
+        n = 3 * sim._PAIR_BLOCK + 17
+        xs, ys = rng.integers(0, len(sets), n), rng.integers(0, len(sets), n)
+        xs[:3], ys[:3] = [40, 40, 41], [40, 0, 42]  # empty-empty, empty-set, multisets
+        got = sim.pair_sims(sets, xs, ys, measure)
+        assert got.tolist() == self.scalar(sets, xs, ys, measure)
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_all_empty_and_zero_pairs(self, measure):
+        sets = [np.empty(0, dtype=np.int64), np.array([], dtype=np.float64)]
+        assert sim.pair_sims(sets, [0, 1], [1, 0], measure).tolist() == [0.0, 0.0]
+        assert sim.pair_sims(sets, [], [], measure).tolist() == []
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_tokens_too_far_apart_for_pair_keys(self, measure):
+        sets = [np.array([0, 1 << 61, 3]), np.array([1 << 61, 3, -(1 << 61)]), np.array([3])]
+        xs, ys = [0, 1, 2, 0], [1, 2, 0, 0]
+        assert sim.pair_sims(sets, xs, ys, measure).tolist() == self.scalar(sets, xs, ys, measure)
+
+    def test_unknown_measure_raises(self):
+        with pytest.raises(ValueError):
+            sim.pair_sims([np.array([1])], [], [], "nope")

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.gpo import group_token_union
 from repro.core.search import LocalLES3
 from repro.core.similarity import jaccard
 from repro.core.tgm import HTGM, TGM
@@ -69,6 +70,35 @@ class TestConstruction:
         sets = [np.arange(100, dtype=np.int64)]
         tgm = TGM.from_partition(sets, np.array([0]), 4)  # tiny hint
         assert tgm.match_counts(np.arange(100))[0] == 100
+
+
+    def test_from_partition_matches_per_set_build(self):
+        """The vectorized build sets the bits and bookkeeping that setting
+        each set's bits one by one would."""
+        db = gen_sets(n_sets=150, n_tokens=90, avg_size=6, seed=4)
+        sets = db.sets + [np.empty(0, dtype=np.int64), np.array([88, 3, 88])]
+        groups = np.random.default_rng(0).choice([9, 2, 5, 40], len(sets))
+        tgm = TGM.from_partition(sets, groups, db.n_tokens)
+        labels = np.unique(groups)
+        for g, label in enumerate(labels):
+            union = group_token_union(sets, np.flatnonzero(groups == label))
+            for s in sets:
+                assert tgm.match_counts(s)[g] == len(np.intersect1d(s, union))
+
+        ref = TGM(len(labels), db.n_tokens)
+        for sid, (s, label) in enumerate(zip(sets, groups)):
+            g = int(np.searchsorted(labels, label))
+            ref._set_bits(g, s)
+            ref.group_sizes[g] += 1
+            ref.group_members[g].append(sid)
+        assert tgm.group_members == ref.group_members
+        assert tgm.group_sizes.tolist() == ref.group_sizes.tolist()
+        assert tgm.index_bytes() == ref.index_bytes()
+        assert tgm.n_tokens == ref.n_tokens
+
+    def test_from_partition_of_no_sets(self):
+        tgm = TGM.from_partition([], np.array([], dtype=np.int64))
+        assert tgm.n_groups == 0 and tgm.group_members == []
 
 
 class TestBoundValidity:
