@@ -16,7 +16,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def get_spark():
-    """Session configured like conftest.py (local master, no UI)."""
+    """The one SparkSession builder (local master, no UI), shared by the
+    jobs, the test fixture and the benchmark.
+
+    Broadcast joins are disabled so join algorithms exercise the shuffle
+    path at small scale; a query that wants a broadcast join asks for it.
+    ``SPARK_SHUFFLE_PARTITIONS`` sets the shuffle partitions (default 64).
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --conf spark.driver.host=127.0.0.1 "
@@ -26,7 +32,10 @@ def get_spark():
 
     return (
         SparkSession.builder.appName("les3-repro")
-        .config("spark.sql.shuffle.partitions", "64")
+        .config(
+            "spark.sql.shuffle.partitions",
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -72,12 +72,6 @@ class RTree:
         out = [self._str_order(order[s : s + slab], dim + 1) for s in range(0, n, slab)]
         return np.concatenate(out)
 
-    def leaf_count(self) -> int:
-        def rec(node: RNode) -> int:
-            return 1 if node.is_leaf else sum(rec(c) for c in node.children)
-
-        return rec(self.root)
-
     def index_bytes(self) -> int:
         """8 bytes per MBR coordinate, two corners per node, plus leaf ids."""
         d = self.points.shape[1]

@@ -147,7 +147,8 @@ class LocalLES3:
         UBs of its children only then, which is where HTGM saves index
         accesses: a coarse group dominated by the running k-th
         similarity is never expanded, so its children's (much more
-        numerous) matrix columns are never read.
+        numerous) matrix cells are never counted in ``index_elems``,
+        which models that cost as ``|children| · |Q|`` per expansion.
         """
         h = self.htgm
         heap: List[Tuple[float, int]] = []
@@ -167,12 +168,10 @@ class LocalLES3:
             if level == last:
                 self._verify_group(h.tgms[last], g, q, k, heap, st)
                 continue
-            kids = np.asarray(h._children[level][g], dtype=np.int64)
-            tgm_next = h.tgms[level + 1]
-            qcols = len(np.unique(q))
-            counts = tgm_next.match_counts_rows(q, kids)
-            st.index_elems += len(kids) * qcols
-            for c, ub in zip(kids, group_upper_bounds(counts, qcols, self.measure)):
+            kids = h.children[level][g]
+            counts = h.tgms[level + 1].match_counts(q)[kids]
+            st.index_elems += len(kids) * len(q)
+            for c, ub in zip(kids, group_upper_bounds(counts, len(q), self.measure)):
                 heapq.heappush(pq, (-float(ub), counter, level + 1, int(c)))
                 counter += 1
         res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))

@@ -41,12 +41,10 @@ def _formula(measure: str):
         raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
 
 
-def tokens(xs: Iterable[int], *, multiset: bool = False) -> np.ndarray:
-    """Normalize an iterable of token ids into the canonical array form."""
-    a = np.asarray(sorted(xs), dtype=np.int64)
-    if not multiset:
-        a = np.unique(a)
-    return a
+def tokens(xs: Iterable[int]) -> np.ndarray:
+    """Normalize an iterable of token ids into the canonical array form:
+    sorted and distinct, since every measure has set semantics."""
+    return np.unique(np.asarray(list(xs), dtype=np.int64))
 
 
 def intersection_size(a: np.ndarray, b: np.ndarray) -> int:

@@ -1,18 +1,18 @@
 """TGM — the token-group matrix bitmap index (paper §3) — and HTGM (§5.2).
 
 ``M[g, t] = 1`` iff some set in group ``g`` contains token ``t``
-(Equation 1). The matrix is deliberately tiny (one bit per group/token
-pair); we store it as a numpy boolean matrix and report its size packed
-to bits (the paper additionally Roaring-compresses it — a constant
-factor, see DESIGN.md).
+(Equation 1). The matrix is stored token-major: ``row_of`` maps each
+token present to a row of the boolean array ``bits``, which has one
+column per group, so ``M[g, t] = bits[row_of[t], g]``. It holds only the
+tokens that occur, never the whole universe, and a query reads one row
+per known token. Its size is reported packed to bits (the paper
+additionally Roaring-compresses it — a constant factor, see DESIGN.md).
 
 The class also implements the update rules of §6: inserting new sets
 under a closed universe and under an open universe (previously unseen
-tokens grow the matrix).
-
-Construction happens either driver-side from a partitioning, or from a
-Spark DataFrame ``(sid, tokens, gid)`` via ``explode → distinct`` — the
-distributed path used by the Spark search engine.
+tokens take the next rows, and ``bits`` doubles when they do not fit).
+The index is built driver-side from a partitioning; the Spark engine
+uses the same group labels.
 """
 from __future__ import annotations
 
@@ -22,33 +22,24 @@ import numpy as np
 
 from .similarity import group_upper_bounds
 
-try:  # Spark is optional at import time so numpy-only tools can use TGM.
-    from pyspark.sql import DataFrame
-    from pyspark.sql import functions as F
-except ImportError:  # pragma: no cover
-    DataFrame = None  # type: ignore
-
 
 class TGM:
-    """Bitmap index over ``n`` groups and a (growable) token universe."""
+    """Bitmap index over ``n`` groups and a growable set of token rows."""
 
-    def __init__(self, n_groups: int, n_tokens_hint: int = 16):
+    def __init__(self, n_groups: int):
         self.n_groups = n_groups
-        self._cols: Dict[int, int] = {}
-        self._matrix = np.zeros((n_groups, max(16, n_tokens_hint)), dtype=bool)
+        self.row_of: Dict[int, int] = {}
+        self.bits = np.zeros((0, n_groups), dtype=bool)
         self.group_sizes = np.zeros(n_groups, dtype=np.int64)
         self.group_members: List[List[int]] = [[] for _ in range(n_groups)]
 
-    # -- construction ------------------------------------------------------
     @classmethod
-    def from_partition(
-        cls, sets: Sequence[np.ndarray], groups: np.ndarray, n_tokens: int | None = None
-    ) -> "TGM":
+    def from_partition(cls, sets: Sequence[np.ndarray], groups: np.ndarray) -> "TGM":
         """Build from a driver-resident database and its group labels.
 
-        Columns are numbered in token order, and one fancy-index
-        assignment sets every (group, token) bit. The columns come from
-        ``searchsorted``, and the token array is freed before the row
+        Rows are numbered in token order, and one fancy-index assignment
+        sets every (token, group) bit. The rows come from
+        ``searchsorted``, and the token array is freed before the group
         index is built: on livej-lite that holds 2.7× fewer temporary
         bytes than ``unique(..., return_inverse=True)``.
         """
@@ -56,115 +47,63 @@ class TGM:
         lens = [len(s) for s in sets]
         concat = np.concatenate([np.empty(0, dtype=np.int64), *sets]).astype(np.int64, copy=False)
         toks = np.unique(concat)
-        cols = np.searchsorted(toks, concat)
+        rows = np.searchsorted(toks, concat)
         del concat
-        tgm = cls(len(labels), max(n_tokens or 16, len(toks)))
-        tgm._cols = dict(zip(toks.tolist(), range(len(toks))))
-        tgm._matrix[np.repeat(gi, lens), cols] = True
+        tgm = cls(len(labels))
+        tgm.row_of = dict(zip(toks.tolist(), range(len(toks))))
+        tgm.bits = np.zeros((len(toks), len(labels)), dtype=bool)
+        tgm.bits[rows, np.repeat(gi, lens)] = True
         tgm.group_sizes = np.bincount(gi, minlength=len(labels))
         order = np.argsort(gi, kind="stable")
         tgm.group_members = [m.tolist() for m in np.split(order, np.cumsum(tgm.group_sizes))[:-1]]
         return tgm
 
-    @classmethod
-    def from_spark(cls, df: "DataFrame") -> "TGM":
-        """Build from a Spark DataFrame ``(sid, tokens, gid)``.
-
-        The bitmap content comes from ``explode(tokens) → distinct`` — a
-        full shuffle over the data — and only the (tiny) distinct
-        ``(gid, token)`` pairs plus per-group membership lists are
-        collected to the driver.
-        """
-        pairs = (
-            df.select("gid", F.explode("tokens").alias("t")).distinct().toPandas()
-        )
-        members = (
-            df.groupBy("gid").agg(F.collect_list("sid").alias("sids")).toPandas()
-        )
-        gids = np.sort(members["gid"].to_numpy())
-        remap = {g: i for i, g in enumerate(gids)}
-        tgm = cls(len(gids))
-        for _, row in members.iterrows():
-            gi = remap[row["gid"]]
-            tgm.group_members[gi] = [int(s) for s in row["sids"]]
-            tgm.group_sizes[gi] = len(row["sids"])
-        for g, t in zip(pairs["gid"].to_numpy(), pairs["t"].to_numpy()):
-            tgm._set_bits(remap[int(g)], np.array([int(t)]))
-        return tgm
-
-    # -- bit plumbing ------------------------------------------------------
-    def _col_of(self, t: int, *, create: bool) -> int | None:
-        c = self._cols.get(int(t))
-        if c is None and create:
-            c = len(self._cols)
-            if c >= self._matrix.shape[1]:
-                grown = np.zeros((self.n_groups, self._matrix.shape[1] * 2), dtype=bool)
-                grown[:, : self._matrix.shape[1]] = self._matrix
-                self._matrix = grown
-            self._cols[int(t)] = c
-        return c
-
-    def _set_bits(self, g: int, toks: np.ndarray) -> None:
-        for t in toks:
-            # _col_of may grow (rebind) self._matrix; resolve it first.
-            c = self._col_of(int(t), create=True)
-            self._matrix[g, c] = True
-
-    # -- queries -----------------------------------------------------------
     @property
     def n_tokens(self) -> int:
-        return len(self._cols)
+        return len(self.row_of)
 
     def match_counts(self, query: np.ndarray) -> np.ndarray:
-        """Per-group ``|Q ∩ GS_g|`` — the Σ_t M[g,t] of Equation (2)."""
-        cols = [self._cols[t] for t in map(int, np.unique(query)) if t in self._cols]
-        if not cols:
-            return np.zeros(self.n_groups, dtype=np.int64)
-        return self._matrix[:, cols].sum(axis=1)
-
-    def match_counts_rows(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``|Q ∩ GS_g|`` for a subset of groups only — the HTGM expansion
-        path, which must not touch other groups' rows."""
-        cols = [self._cols[t] for t in map(int, np.unique(query)) if t in self._cols]
-        rows = np.asarray(rows, dtype=np.int64)
-        if not cols:
-            return np.zeros(len(rows), dtype=np.int64)
-        return self._matrix[np.ix_(rows, cols)].sum(axis=1)
+        """Per-group ``|Q ∩ GS_g|`` — the Σ_t M[g,t] of Equation (2).
+        Tokens outside the index count zero (§3.1)."""
+        rows = [r for r in map(self.row_of.get, np.unique(query).tolist()) if r is not None]
+        return self.bits[rows].sum(axis=0)
 
     def upper_bounds(self, query: np.ndarray, measure: str = "jaccard") -> np.ndarray:
         """``UB(Q, G_g)`` for every group (Equation 2 generalized)."""
         q = np.unique(query)
         return group_upper_bounds(self.match_counts(q), len(q), measure)
 
-    # -- updates (paper §6) ------------------------------------------------
     def insert(self, tokens: np.ndarray, sid: int, measure: str = "jaccard") -> int:
-        """Insert a set, returning its group.
+        """Insert a set (paper §6), returning its group.
 
         Known tokens (``PS = S ∩ T``) vote for the group with the highest
         similarity upper bound; ties break toward the smallest group, in
         line with the balance property of §4. If no token is known, the
-        smallest group wins outright. Unseen tokens then grow the matrix
-        (open-universe rule) and all of S's bits are set in that group.
+        smallest group wins outright. Unseen tokens then take the next
+        rows (open-universe rule) and all of S's bits are set in that
+        group.
         """
-        toks = np.unique(tokens)
-        known = np.array([t for t in toks if int(t) in self._cols], dtype=np.int64)
-        if len(known):
+        toks = np.unique(tokens).tolist()
+        known = [t for t in toks if t in self.row_of]
+        if known:
             ubs = group_upper_bounds(self.match_counts(known), len(known), measure)
-            best = ubs.max()
-            tied = np.flatnonzero(ubs == best)
+            tied = np.flatnonzero(ubs == ubs.max())
         else:
             tied = np.arange(self.n_groups)
         g = int(tied[np.argmin(self.group_sizes[tied])])
-        self._set_bits(g, toks)
+        rows = [self.row_of.setdefault(t, len(self.row_of)) for t in toks]
+        if self.n_tokens > len(self.bits):
+            grown = np.zeros((2 * self.n_tokens, self.n_groups), dtype=bool)
+            grown[: len(self.bits)] = self.bits
+            self.bits = grown
+        self.bits[rows, g] = True
         self.group_sizes[g] += 1
         self.group_members[g].append(sid)
         return g
 
-    # -- accounting --------------------------------------------------------
     def index_bytes(self) -> int:
         """Size of the bitmap packed to bits (what Figure 11 reports)."""
-        used = self._matrix[:, : max(1, self.n_tokens)]
-        return int(np.packbits(used, axis=None).nbytes)
+        return (self.n_groups * max(1, self.n_tokens) + 7) // 8
 
 
 class HTGM:
@@ -182,20 +121,14 @@ class HTGM:
         assert len(levels) >= 1
         self.levels = [np.asarray(l) for l in levels]
         self.tgms = [TGM.from_partition(sets, l) for l in self.levels]
-        # child map between consecutive levels, via each level's remap order
-        self._children: List[Dict[int, List[int]]] = []
+        # children[i][g]: sorted level-(i+1) groups under level-i group g
+        self.children: List[List[np.ndarray]] = []
         for a, b in zip(self.levels[:-1], self.levels[1:]):
-            la, lb = np.unique(a), np.unique(b)
-            ra = {g: i for i, g in enumerate(la)}
-            rb = {g: i for i, g in enumerate(lb)}
-            ch: Dict[int, List[int]] = {i: [] for i in range(len(la))}
-            seen = set()
-            for ga, gb in zip(a, b):
-                key = (ra[ga], rb[gb])
-                if key not in seen:
-                    seen.add(key)
-                    ch[ra[ga]].append(rb[gb])
-            self._children.append(ch)
+            la, ia = np.unique(a, return_inverse=True)
+            lb, ib = np.unique(b, return_inverse=True)
+            pairs = np.unique(ia * len(lb) + ib)
+            per_parent = np.bincount(pairs // len(lb), minlength=len(la))
+            self.children.append(np.split(pairs % len(lb), np.cumsum(per_parent)[:-1]))
 
     @property
     def fine(self) -> TGM:
@@ -211,10 +144,8 @@ class HTGM:
         accessed = 0
         for li, tgm in enumerate(self.tgms):
             if li > 0:
-                kids: List[int] = []
-                for g in alive:
-                    kids.extend(self._children[li - 1][int(g)])
-                alive = np.asarray(sorted(set(kids)), dtype=np.int64)
+                kids = [self.children[li - 1][g] for g in alive]
+                alive = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *kids]))
             if len(alive) == 0:
                 return alive, accessed
             counts = tgm.match_counts(q)[alive]

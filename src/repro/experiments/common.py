@@ -72,7 +72,7 @@ def build_les3(
         measure=measure,
         seed=seed,
     )
-    tgm = TGM.from_partition(db.sets, l2p.groups, db.n_tokens)
+    tgm = TGM.from_partition(db.sets, l2p.groups)
     return Les3Build(
         db=db,
         l2p=l2p,

@@ -48,7 +48,7 @@ def run(
             l for l in part.levels if len(np.unique(l)) >= coarse_groups
         )
         fine = part.levels[-1]
-        tgm = TGM.from_partition(db.sets, fine, db.n_tokens)
+        tgm = TGM.from_partition(db.sets, fine)
         flat = LocalLES3(db.sets, tgm)
         hier = LocalLES3(db.sets, tgm, htgm=HTGM(db.sets, [coarse, fine]))
         queries = sample_queries(db, n=n_queries, seed=seed + 1)

@@ -52,7 +52,7 @@ def run(
     runs["PAR-A"] = par_a(db.sets, n_groups, seed=seed)
 
     for name, r in runs.items():
-        tgm = TGM.from_partition(db.sets, r.groups, db.n_tokens)
+        tgm = TGM.from_partition(db.sets, r.groups)
         eng = LocalLES3(db.sets, tgm)
         knn_s, stats, _ = timed_queries(lambda q: eng.knn(q, k), queries)
         rows.append(

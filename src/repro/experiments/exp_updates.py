@@ -89,7 +89,7 @@ def run(
             full = SetDB(sets=all_sets, n_tokens=universe_size)
 
             # incremental: copy the trained TGM and insert the new sets
-            tgm = TGM.from_partition(base.sets, b.l2p.groups, base.n_tokens)
+            tgm = TGM.from_partition(base.sets, b.l2p.groups)
             for i, s in enumerate(extra):
                 tgm.insert(s, len(base.sets) + i)
             eng = LocalLES3(all_sets, tgm)

@@ -18,7 +18,7 @@ def build(db, n_groups=12, seed=0, measure="jaccard"):
         reps, db.sets, n_groups=n_groups, n_init=4, min_group=10,
         n_pairs=600, measure=measure, seed=seed,
     )
-    tgm = TGM.from_partition(db.sets, part.groups, db.n_tokens)
+    tgm = TGM.from_partition(db.sets, part.groups)
     return part, tgm, LocalLES3(db.sets, tgm, measure)
 
 
@@ -141,7 +141,7 @@ class TestHierarchicalSearch:
             n_pairs=600, seed=0,
         )
         coarse = next(l for l in part.levels if len(np.unique(l)) >= 4)
-        tgm = TGM.from_partition(db.sets, part.groups, db.n_tokens)
+        tgm = TGM.from_partition(db.sets, part.groups)
         flat = LocalLES3(db.sets, tgm)
         hier = LocalLES3(db.sets, tgm, htgm=HTGM(db.sets, [coarse, part.groups]))
         return db, flat, hier

@@ -10,8 +10,7 @@ from repro.core.packed import PackedSets
 TOKENS = st.lists(st.integers(0, 50), min_size=0, max_size=20)
 
 
-def t(xs, multiset=False):
-    return sim.tokens(xs, multiset=multiset)
+t = sim.tokens
 
 
 class TestPairwiseMeasures:
@@ -60,12 +59,9 @@ class TestTokensNormalization:
     def test_dedupes_sets(self):
         assert list(t([3, 1, 3, 2])) == [1, 2, 3]
 
-    def test_multiset_keeps_duplicates(self):
-        assert list(t([3, 1, 3], multiset=True)) == [1, 3, 3]
-
-    def test_intersection_size_multiset(self):
-        a = t([1, 1, 2], multiset=True)
-        b = t([1, 2, 2], multiset=True)
+    def test_intersection_size_counts_distinct_tokens(self):
+        a = np.array([1, 1, 2])
+        b = np.array([1, 2, 2])
         assert sim.intersection_size(a, b) == 2  # {1, 2}
 
 

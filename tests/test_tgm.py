@@ -23,7 +23,7 @@ def fig1_tgm():
         np.array([D]),  # group 1
     ]
     groups = np.array([0, 0, 0, 1, 1, 1])
-    return sets, TGM.from_partition(sets, groups, 4)
+    return sets, TGM.from_partition(sets, groups)
 
 
 class TestConstruction:
@@ -52,49 +52,40 @@ class TestConstruction:
         ubs = tgm.upper_bounds(np.array([A, 99]))
         assert ubs.tolist() == [0.5, 0.0]
 
-    def test_match_counts_rows_subset(self, fig1_tgm):
-        _, tgm = fig1_tgm
-        q = np.array([B, C, D])
-        full = tgm.match_counts(q)
-        np.testing.assert_array_equal(
-            tgm.match_counts_rows(q, np.array([1])), full[[1]]
-        )
-
     def test_noncontiguous_group_labels_are_remapped(self):
         sets = [np.array([0]), np.array([1])]
-        tgm = TGM.from_partition(sets, np.array([7, 3]), 2)
+        tgm = TGM.from_partition(sets, np.array([7, 3]))
         assert tgm.n_groups == 2
         assert sorted(tgm.group_sizes.tolist()) == [1, 1]
 
-    def test_matrix_growth_beyond_hint(self):
-        sets = [np.arange(100, dtype=np.int64)]
-        tgm = TGM.from_partition(sets, np.array([0]), 4)  # tiny hint
-        assert tgm.match_counts(np.arange(100))[0] == 100
-
-
     def test_from_partition_matches_per_set_build(self):
-        """The vectorized build sets the bits and bookkeeping that setting
-        each set's bits one by one would."""
+        """The vectorized build against independent references: group
+        token unions for the bits, the label array for the bookkeeping."""
         db = gen_sets(n_sets=150, n_tokens=90, avg_size=6, seed=4)
         sets = db.sets + [np.empty(0, dtype=np.int64), np.array([88, 3, 88])]
         groups = np.random.default_rng(0).choice([9, 2, 5, 40], len(sets))
-        tgm = TGM.from_partition(sets, groups, db.n_tokens)
+        tgm = TGM.from_partition(sets, groups)
         labels = np.unique(groups)
         for g, label in enumerate(labels):
-            union = group_token_union(sets, np.flatnonzero(groups == label))
+            members = np.flatnonzero(groups == label)
+            union = group_token_union(sets, members)
             for s in sets:
                 assert tgm.match_counts(s)[g] == len(np.intersect1d(s, union))
+            assert tgm.group_members[g] == members.tolist()
+            assert tgm.group_sizes[g] == len(members)
+        n_tokens = len(set(np.concatenate(sets).tolist()))
+        assert tgm.n_tokens == n_tokens
+        assert tgm.index_bytes() == -(-len(labels) * n_tokens // 8)
 
-        ref = TGM(len(labels), db.n_tokens)
-        for sid, (s, label) in enumerate(zip(sets, groups)):
-            g = int(np.searchsorted(labels, label))
-            ref._set_bits(g, s)
-            ref.group_sizes[g] += 1
-            ref.group_members[g].append(sid)
-        assert tgm.group_members == ref.group_members
-        assert tgm.group_sizes.tolist() == ref.group_sizes.tolist()
-        assert tgm.index_bytes() == ref.index_bytes()
-        assert tgm.n_tokens == ref.n_tokens
+    def test_resident_size_follows_tokens_present(self):
+        """Tokens near 10^12 cost one row each, not a universe-wide
+        allocation."""
+        base = 10**12
+        sets = [np.array([base, base + 7]), np.array([3, base + 7]), np.array([base - 5])]
+        tgm = TGM.from_partition(sets, np.array([0, 1, 1]))
+        assert tgm.n_tokens == 4
+        assert tgm.bits.nbytes == tgm.n_tokens * tgm.n_groups
+        assert tgm.match_counts(np.array([base + 7, base - 5, 3])).tolist() == [1, 3]
 
     def test_from_partition_of_no_sets(self):
         tgm = TGM.from_partition([], np.array([], dtype=np.int64))
@@ -105,7 +96,7 @@ class TestBoundValidity:
     def test_ub_dominates_members_random_db(self):
         db = gen_sets(n_sets=100, n_tokens=80, avg_size=6, seed=1)
         groups = np.arange(100) % 8
-        tgm = TGM.from_partition(db.sets, groups, db.n_tokens)
+        tgm = TGM.from_partition(db.sets, groups)
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = db.sets[rng.integers(100)]
@@ -125,7 +116,7 @@ class TestUpdates:
 
     def test_tie_breaks_to_smallest_group(self):
         sets = [np.array([0]), np.array([0]), np.array([0])]
-        tgm = TGM.from_partition(sets, np.array([0, 0, 1]), 2)
+        tgm = TGM.from_partition(sets, np.array([0, 0, 1]))
         # token 0 in both groups: UB ties at 1.0; group 1 is smaller
         assert tgm.insert(np.array([0]), sid=3) == 1
 
@@ -138,16 +129,32 @@ class TestUpdates:
 
     def test_all_new_tokens_goes_to_smallest(self):
         sets = [np.array([0]), np.array([1]), np.array([2])]
-        tgm = TGM.from_partition(sets, np.array([0, 0, 1]), 3)
+        tgm = TGM.from_partition(sets, np.array([0, 0, 1]))
         g = tgm.insert(np.array([50, 51]), sid=3)
         assert g == 1  # no known token: smallest group
         assert tgm.match_counts(np.array([50])).tolist() == [0, 1]
+
+    def test_growth_on_insert_of_unseen_tokens(self):
+        """300 inserts of unseen tokens into a 4-row TGM: each grows the
+        rows and is found by ``match_counts`` in the group it joined."""
+        sets = [np.array([0, 1]), np.array([2, 3])]
+        tgm = TGM.from_partition(sets, np.array([0, 1]))
+        assert tgm.n_tokens == 4
+        placed = []
+        for i in range(300):
+            t = 1000 + i
+            placed.append((t, tgm.insert(np.array([t]), sid=2 + i)))
+        assert tgm.n_tokens == 304
+        for t, g in placed:
+            counts = tgm.match_counts(np.array([t]))
+            assert counts[g] == 1 and counts.sum() == 1
+        assert tgm.match_counts(np.arange(4)).tolist() == [2, 2]
 
     def test_queries_after_open_insert(self):
         """End to end: an unseen-token set is inserted, then found."""
         db = gen_sets(n_sets=50, n_tokens=40, avg_size=5, seed=4)
         groups = np.arange(50) % 4
-        tgm = TGM.from_partition(db.sets, groups, db.n_tokens)
+        tgm = TGM.from_partition(db.sets, groups)
         new = np.array([100, 101, 102])
         tgm.insert(new, sid=50)
         eng = LocalLES3(db.sets + [new], tgm)
@@ -158,7 +165,7 @@ class TestUpdates:
 class TestSizeAccounting:
     def test_index_bytes_is_bit_packed(self):
         sets = [np.arange(16, dtype=np.int64)]
-        tgm = TGM.from_partition(sets, np.array([0]), 16)
+        tgm = TGM.from_partition(sets, np.array([0]))
         assert tgm.index_bytes() == 2  # 16 bits = 2 bytes
 
 
@@ -173,7 +180,7 @@ class TestHTGM:
 
     def test_children_partition_fine_groups(self, hier):
         _, h = hier
-        all_kids = sorted(sum(h._children[0].values(), []))
+        all_kids = sorted(np.concatenate(h.children[0]).tolist())
         assert all_kids == list(range(h.fine.n_groups))
 
     def test_candidate_groups_conservative(self, hier):

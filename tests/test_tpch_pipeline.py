@@ -36,7 +36,7 @@ def pipeline(spark):
     )
     data = odf.join(gdf, "sid").repartition("gid").cache()
     data.count()
-    tgm = TGM.from_partition(sets, part.groups, n_tokens)
+    tgm = TGM.from_partition(sets, part.groups)
     # remap TGM member lists from positional ids to order keys
     for g in range(tgm.n_groups):
         tgm.group_members[g] = [int(sids[i]) for i in tgm.group_members[g]]
