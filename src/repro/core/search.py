@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +59,14 @@ class BatchStats:
 
 
 class LocalLES3:
-    """Filter-and-verify over a driver-resident database."""
+    """Filter-and-verify over a driver-resident database.
+
+    The sets are stored group by group in the order of the TGM that
+    verifies them (the HTGM's finest level when one is given), so group
+    ``g`` is the run ``gstart[g]:gstart[g + 1]`` of stored positions in
+    the shared verify kernel (see core/packed.py), which every engine
+    uses so that constant factors are comparable.
+    """
 
     def __init__(
         self,
@@ -71,9 +79,22 @@ class LocalLES3:
         self.tgm = tgm
         self.htgm = htgm
         self.measure = measure
-        # shared vectorized verification kernel (see core/packed.py): all
-        # engines verify through it so constant factors are comparable
-        self.packed = PackedSets(sets)
+        members = (tgm if htgm is None else htgm.fine).group_members
+        sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+        self.gstart = np.zeros(len(members) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.gstart[1:])
+        order = np.fromiter(chain.from_iterable(members), dtype=np.int64, count=int(self.gstart[-1]))
+        self.packed = PackedSets(sets, order)
+
+    def _verify(self, q: np.ndarray, g: int, st: SearchStats):
+        """Similarities and sids of group ``g``'s members, or ``None`` for
+        an empty group, which is not counted as verified."""
+        lo, hi = int(self.gstart[g]), int(self.gstart[g + 1])
+        if lo == hi:
+            return None
+        st.n_candidates += hi - lo
+        st.n_groups_verified += 1
+        return self.packed.sims_subset(q, slice(lo, hi), self.measure), self.packed.ids[lo:hi]
 
     # -- range -------------------------------------------------------------
     def range(self, query: np.ndarray, delta: float) -> Tuple[List[Tuple[int, float]], SearchStats]:
@@ -82,31 +103,35 @@ class LocalLES3:
         q = np.unique(query)
         if self.htgm is not None:
             cand_groups, st.index_elems = self.htgm.candidate_groups(q, delta, self.measure)
-            tgm = self.htgm.fine
         else:
-            tgm = self.tgm
-            ubs = tgm.upper_bounds(q, self.measure)
-            st.index_elems = tgm.n_groups * len(q)
+            ubs = self.tgm.upper_bounds(q, self.measure)
+            st.index_elems = self.tgm.n_groups * len(q)
             cand_groups = np.flatnonzero(ubs >= delta)
-        out: List[Tuple[int, float]] = []
-        for g in cand_groups:
-            sids = tgm.group_members[int(g)]
-            if not sids:
-                continue
-            sims = self.packed.sims_subset(q, np.asarray(sids), self.measure)
-            st.n_candidates += len(sids)
-            st.n_groups_verified += 1
-            for s, v in zip(sids, sims):
-                if v >= delta:
-                    out.append((s, float(v)))
+        sizes = self.gstart[cand_groups + 1] - self.gstart[cand_groups]
+        st.n_candidates = int(sizes.sum())
+        st.n_groups_verified = int(np.count_nonzero(sizes))
+        # groups are stored in label order, so each run of consecutive
+        # candidate groups is one slice: its edges are where ``on`` flips
+        on = np.zeros(len(self.gstart) + 1, dtype=np.int8)
+        on[cand_groups + 1] = 1
+        sims, sids = [_NO_SIMS], [_NO_SIDS]
+        for lo, hi in self.gstart[np.flatnonzero(np.diff(on))].reshape(-1, 2).tolist():
+            got = self.packed.sims_subset(q, slice(lo, hi), self.measure)
+            keep = got >= delta
+            sims.append(got[keep])
+            sids.append(self.packed.ids[lo:hi][keep])
+        out = _ranked(np.concatenate(sims), np.concatenate(sids))
         st.n_results = len(out)
-        return sorted(out, key=lambda t: (-t[1], t[0])), st
+        return out, st
 
     # -- kNN ---------------------------------------------------------------
     def knn(self, query: np.ndarray, k: int) -> Tuple[List[Tuple[int, float]], SearchStats]:
         """Exact k nearest sets (Definition 2.1), visiting groups in
         UB-descending order and stopping once the running k-th similarity
-        dominates the next group's bound."""
+        dominates the next group's bound. Ties at the k-th similarity go
+        to the smaller sids."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         st = SearchStats()
         q = np.unique(query)
         if self.htgm is not None:
@@ -114,28 +139,12 @@ class LocalLES3:
         tgm = self.tgm
         ubs = tgm.upper_bounds(q, self.measure)
         st.index_elems = tgm.n_groups * len(q)
-        order = np.argsort(-ubs, kind="stable")
-        heap: List[Tuple[float, int]] = []  # min-heap of (sim, sid)
-        for g in order:
-            if len(heap) >= k and ubs[g] < heap[0][0]:
+        top = _TopK(k)
+        for g in np.argsort(-ubs, kind="stable"):
+            if top.dominates(ubs[g]):
                 break
-            self._verify_group(tgm, int(g), q, k, heap, st)
-        res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
-        st.n_results = len(res)
-        return res, st
-
-    def _verify_group(self, tgm, g: int, q, k: int, heap, st: SearchStats) -> None:
-        sids = tgm.group_members[g]
-        if not sids:
-            return
-        sims = self.packed.sims_subset(q, np.asarray(sids), self.measure)
-        st.n_candidates += len(sids)
-        st.n_groups_verified += 1
-        for s, v in zip(sids, sims):
-            if len(heap) < k:
-                heapq.heappush(heap, (float(v), s))
-            elif v > heap[0][0]:
-                heapq.heapreplace(heap, (float(v), s))
+            top.merge(self._verify(q, int(g), st))
+        return top.answer(st)
 
     def _knn_hierarchical(
         self, q: np.ndarray, k: int, st: SearchStats
@@ -151,7 +160,7 @@ class LocalLES3:
         which models that cost as ``|children| · |Q|`` per expansion.
         """
         h = self.htgm
-        heap: List[Tuple[float, int]] = []
+        top = _TopK(k)
         pq: List[Tuple[float, int, int, int]] = []  # (-ub, tiebreak, level, group)
         counter = 0
         counts0 = h.tgms[0].match_counts(q)
@@ -163,10 +172,10 @@ class LocalLES3:
         last = len(h.tgms) - 1
         while pq:
             neg_ub, _, level, g = heapq.heappop(pq)
-            if len(heap) >= k and -neg_ub < heap[0][0]:
+            if top.dominates(-neg_ub):
                 break
             if level == last:
-                self._verify_group(h.tgms[last], g, q, k, heap, st)
+                top.merge(self._verify(q, g, st))
                 continue
             kids = h.children[level][g]
             counts = h.tgms[level + 1].match_counts(q)[kids]
@@ -174,9 +183,48 @@ class LocalLES3:
             for c, ub in zip(kids, group_upper_bounds(counts, len(q), self.measure)):
                 heapq.heappush(pq, (-float(ub), counter, level + 1, int(c)))
                 counter += 1
-        res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
-        st.n_results = len(res)
-        return res, st
+        return top.answer(st)
+
+
+_NO_SIMS = np.empty(0, dtype=np.float64)
+_NO_SIDS = np.empty(0, dtype=np.int64)
+
+
+def _ranked(sims: np.ndarray, sids: np.ndarray) -> List[Tuple[int, float]]:
+    """``(sid, sim)`` pairs in ``(-sim, sid)`` order."""
+    by = np.lexsort((sids, -sims))
+    return list(zip(sids[by].tolist(), sims[by].tolist()))
+
+
+class _TopK:
+    """The best k ``(sim, sid)`` pairs seen so far, in ``(-sim, sid)``
+    order, held as numpy arrays."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.sims, self.sids = _NO_SIMS, _NO_SIDS
+
+    def dominates(self, ub: float) -> bool:
+        """Whether k pairs are held and a group bounded by ``ub`` can
+        hold none better than the k-th."""
+        return len(self.sims) >= self.k and ub < self.sims[-1]
+
+    def merge(self, got) -> None:
+        """Fold in one verified group's ``(sims, sids)``; a group whose
+        best similarity is below the k-th leaves the top k as it is."""
+        if got is None:
+            return
+        sims, sids = got
+        if len(self.sims) >= self.k and sims.max() < self.sims[-1]:
+            return
+        sims = np.concatenate((self.sims, sims))
+        sids = np.concatenate((self.sids, sids))
+        by = np.lexsort((sids, -sims))[: self.k]
+        self.sims, self.sids = sims[by], sids[by]
+
+    def answer(self, st: SearchStats) -> Tuple[List[Tuple[int, float]], SearchStats]:
+        st.n_results = len(self.sims)
+        return list(zip(self.sids.tolist(), self.sims.tolist())), st
 
 
 # ---------------------------------------------------------------------------

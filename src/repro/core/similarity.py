@@ -1,8 +1,9 @@
 """Set similarity measures and TGM group upper bounds (paper §2, §3.2).
 
-A set is represented as a sorted ``np.ndarray`` of int64 token ids.
-Multisets keep duplicate entries; plain sets are deduplicated. All
-measures here satisfy the TGM Applicability Property (Theorem 3.1):
+A set is represented as a sorted ``np.ndarray`` of distinct int64 token
+ids (:func:`tokens`). Every measure has set semantics: a repeated token
+counts once, wherever it is given. All measures here satisfy the TGM
+Applicability Property (Theorem 3.1):
 
   1. ``Sim(Q, Q∩S) >= Sim(Q, S)``
   2. ``R' ⊂ R ⊆ Q  =>  Sim(Q, R) >= Sim(Q, R')``

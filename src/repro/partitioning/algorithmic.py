@@ -166,15 +166,18 @@ def par_a(
     rng = np.random.default_rng(seed)
     fsets = [frozenset(map(int, s)) for s in sets]
     n = len(fsets)
-    groups: List[List[int]] = [[i] for i in range(n)]
+    groups: List[np.ndarray] = [np.array([i]) for i in range(n)]
     # cached sampled φ(G) per group (ordered-pair sum estimate)
     phis: List[float] = [0.0] * n
 
-    def est_phi(g: List[int]) -> float:
+    def draw(g: np.ndarray) -> np.ndarray:
+        # the draws ``rng.choice(g, size)`` makes, without its per-call cost
+        return g[rng.integers(0, len(g), size=min(sample, len(g)))]
+
+    def est_phi(g: np.ndarray) -> float:
         if len(g) < 2:
             return 0.0
-        xs = rng.choice(g, size=min(sample, len(g)))
-        ys = rng.choice(g, size=min(sample, len(g)))
+        xs, ys = draw(g), draw(g)
         d = [_dist(fsets[x], fsets[y]) for x, y in zip(xs, ys) if x != y]
         return float(np.mean(d or [0.0])) * len(g) * len(g)
 
@@ -186,14 +189,13 @@ def par_a(
         for j, g2 in enumerate(groups):
             if j == gi:
                 continue
-            xs = rng.choice(g1, size=min(sample, len(g1)))
-            ys = rng.choice(g2, size=min(sample, len(g2)))
+            xs, ys = draw(g1), draw(g2)
             cross = float(np.mean([_dist(fsets[x], fsets[y]) for x in xs for y in ys]))
             # φ(G1∪G2) = φ(G1) + φ(G2) + 2|G1||G2|·cross; φ(G1) is constant
             score = phis[j] + 2 * len(g1) * len(g2) * cross
             if score < best_score:
                 best_score, best_j = score, j
-        merged = g1 + groups[best_j]
+        merged = np.concatenate((g1, groups[best_j]))
         keep = [idx for idx in range(len(groups)) if idx not in (gi, best_j)]
         groups = [groups[idx] for idx in keep]
         phis = [phis[idx] for idx in keep]

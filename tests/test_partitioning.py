@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from repro.core import gpo
+from repro.core.search import LocalLES3
 from repro.core.similarity import jaccard
+from repro.core.tgm import TGM
 from repro.partitioning.algorithmic import par_a, par_c, par_d
 from repro.partitioning.graph import (
     balanced_cut,
@@ -51,6 +53,14 @@ class TestParC:
 
 
 class TestGraphs:
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_knn_graph_through_les3_equals_scan(self, db, k):
+        """Neighbours tied at the k-th similarity go to the smaller sids
+        whether LES³ or a full scan finds them."""
+        tgm = TGM.from_partition(db.sets, np.arange(len(db.sets)) % 8)
+        eng = LocalLES3(db.sets, tgm)
+        assert dict(knn_graph(db.sets, k, engine=eng)) == dict(knn_graph(db.sets, k))
+
     def test_knn_graph_edges_are_true_neighbours(self, db):
         adj = knn_graph(db.sets, 3)
         for v in list(adj)[:10]:

@@ -1,5 +1,7 @@
 """LocalLES3 query processing: exactness against brute force across
 measures, datasets, and query parameters (paper §3.1, Definitions 2.1-2.3)."""
+import heapq
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.baselines.brute import LocalBrute
 from repro.core.l2p import l2p_partition
 from repro.core.ptr import ptr
 from repro.core.search import LocalLES3, SearchStats
-from repro.core.similarity import cosine, sim_fn, tokens
+from repro.core.similarity import cosine, group_upper_bounds, sim_fn, tokens
 from repro.core.tgm import HTGM, TGM
 from repro.synth_data import dataset, gen_sets, powerlaw_sim_db, sample_queries
 
@@ -163,3 +165,143 @@ class TestHierarchicalSearch:
             a, _ = flat.range(q, delta)
             b, _ = hier.range(q, delta)
             assert a == b
+
+
+# -- the verify loop before group-contiguous storage ------------------------
+def _ref_verify(eng, tgm, g, q, st):
+    """Group ``g``'s member sids and their scalar similarities, counted
+    as the per-candidate loop counted them."""
+    sids = tgm.group_members[g]
+    if sids:
+        st.n_candidates += len(sids)
+        st.n_groups_verified += 1
+    f = sim_fn(eng.measure)
+    return [(s, f(q, eng.sets[s])) for s in sids]
+
+
+def ref_range(eng, query, delta):
+    st = SearchStats()
+    q = np.unique(query)
+    if eng.htgm is not None:
+        cand_groups, st.index_elems = eng.htgm.candidate_groups(q, delta, eng.measure)
+        tgm = eng.htgm.fine
+    else:
+        tgm = eng.tgm
+        st.index_elems = tgm.n_groups * len(q)
+        cand_groups = np.flatnonzero(tgm.upper_bounds(q, eng.measure) >= delta)
+    out = [(s, v) for g in cand_groups for s, v in _ref_verify(eng, tgm, int(g), q, st) if v >= delta]
+    st.n_results = len(out)
+    return sorted(out, key=lambda t: (-t[1], t[0])), st
+
+
+def _ref_push(heap, pairs, k):
+    for s, v in pairs:
+        if len(heap) < k:
+            heapq.heappush(heap, (v, s))
+        elif v > heap[0][0]:
+            heapq.heapreplace(heap, (v, s))
+
+
+def ref_knn(eng, query, k):
+    st = SearchStats()
+    q = np.unique(query)
+    heap = []  # min-heap of (sim, sid)
+    if eng.htgm is None:
+        ubs = eng.tgm.upper_bounds(q, eng.measure)
+        st.index_elems = eng.tgm.n_groups * len(q)
+        for g in np.argsort(-ubs, kind="stable"):
+            if len(heap) >= k and ubs[g] < heap[0][0]:
+                break
+            _ref_push(heap, _ref_verify(eng, eng.tgm, int(g), q, st), k)
+    else:
+        h, m = eng.htgm, eng.measure
+        st.index_elems = h.tgms[0].n_groups * len(q)
+        ubs0 = group_upper_bounds(h.tgms[0].match_counts(q), len(q), m)
+        pq = [(-float(ub), g, 0, g) for g, ub in enumerate(ubs0)]
+        heapq.heapify(pq)
+        counter, last = len(pq), len(h.tgms) - 1
+        while pq:
+            neg_ub, _, level, g = heapq.heappop(pq)
+            if len(heap) >= k and -neg_ub < heap[0][0]:
+                break
+            if level == last:
+                _ref_push(heap, _ref_verify(eng, h.fine, g, q, st), k)
+                continue
+            kids = h.children[level][g]
+            st.index_elems += len(kids) * len(q)
+            counts = h.tgms[level + 1].match_counts(q)[kids]
+            for c, ub in zip(kids, group_upper_bounds(counts, len(q), m)):
+                heapq.heappush(pq, (-float(ub), counter, level + 1, int(c)))
+                counter += 1
+    res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
+    st.n_results = len(res)
+    return res, st
+
+
+def _stats(st):
+    return (st.n_candidates, st.n_groups_verified, st.index_elems, st.n_results)
+
+
+class TestSameWorkAsHeapLoop:
+    """The group-contiguous verify and the numpy top-k merge verify the
+    same groups as the per-candidate heap loop they replace, and answer
+    the same; where the k-th similarity is tied, the answer holds the
+    smallest sids of that similarity, as brute force ranks them."""
+
+    @pytest.fixture(scope="class", params=["jaccard", "dice", "cosine"])
+    def engines(self, request):
+        measure = request.param
+        db = powerlaw_sim_db(n_sets=500, n_tokens=600, alpha=3.0, seed=8)
+        reps = ptr(db.sets, db.n_tokens)
+        part = l2p_partition(
+            reps, db.sets, n_groups=16, use_init=False, min_group=10,
+            n_pairs=600, measure=measure, seed=0,
+        )
+        coarse = next(l for l in part.levels if len(np.unique(l)) >= 4)
+        tgm = TGM.from_partition(db.sets, part.groups)
+        flat = LocalLES3(db.sets, tgm, measure)
+        hier = LocalLES3(db.sets, tgm, measure, htgm=HTGM(db.sets, [coarse, part.groups]))
+        queries = sample_queries(db, n=12, seed=16) + [db.sets[3][:1], np.array([10**6])]
+        return db, measure, (flat, hier), queries
+
+    @pytest.mark.parametrize("delta", [0.9, 0.6, 0.3, 0.0])
+    def test_range(self, engines, delta):
+        _, _, engs, queries = engines
+        for eng in engs:
+            for q in queries:
+                got, st = eng.range(q, delta)
+                exp, ref_st = ref_range(eng, q, delta)
+                assert got == exp
+                assert _stats(st) == _stats(ref_st)
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 600])
+    def test_knn(self, engines, k):
+        db, measure, engs, queries = engines
+        f = sim_fn(measure)
+        for q in queries:
+            ranked = sorted(((s, f(q, x)) for s, x in enumerate(db.sets)), key=lambda t: (-t[1], t[0]))
+            for eng in engs:
+                got, st = eng.knn(q, k)
+                exp, ref_st = ref_knn(eng, q, k)
+                assert _stats(st) == _stats(ref_st)
+                assert [v for _, v in got] == [v for _, v in exp]
+                kth = exp[-1][1]
+                assert [p for p in got if p[1] > kth] == [p for p in exp if p[1] > kth]
+                assert got == ranked[:k]
+
+    def test_tied_kth_similarity_keeps_smallest_sids(self):
+        q = tokens([1, 2, 3, 4])
+        sets = [tokens(s) for s in (
+            [7, 8], [2, 3, 4], [2, 3, 4], [50, 51], [60],  # sids 0-4
+            [1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3, 4],  # sids 5-8
+        )]
+        groups = np.array([1, 2, 2, 2, 1, 0, 0, 0, 1])
+        tgm = TGM.from_partition(sets, groups)
+        flat = LocalLES3(sets, tgm)
+        hier = LocalLES3(sets, tgm, htgm=HTGM(sets, [np.zeros(len(sets), dtype=int), groups]))
+        # the heap loop keeps whichever tied sets it met first
+        assert [s for s, _ in ref_knn(flat, q, 3)[0]] == [8, 5, 6]
+        for eng in (flat, hier):
+            got, st = eng.knn(q, 3)
+            assert got == [(8, 1.0), (1, 0.75), (2, 0.75)]
+            assert _stats(st) == _stats(ref_knn(eng, q, 3)[1])

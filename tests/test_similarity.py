@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import similarity as sim
 from repro.core.packed import PackedSets
+from repro.core.search import LocalLES3
+from repro.core.tgm import TGM
 
 TOKENS = st.lists(st.integers(0, 50), min_size=0, max_size=20)
 
@@ -140,6 +142,82 @@ class TestVectorizedKernels:
             got = sim.group_upper_bounds(counts, 5, m)
             exp = [sim.sim_fn(m)(q, q[:c]) for c in counts]
             assert list(got) == exp
+
+
+class TestPackedSetsLayout:
+    """``PackedSets`` against scalar ``sim_fn``, to the last bit, on the
+    inputs its one-pass build and dense-id kernel must handle."""
+
+    @pytest.fixture
+    def raw(self):
+        rng = np.random.default_rng(7)
+        out = [rng.integers(0, 60, rng.integers(1, 15)) for _ in range(30)]  # unsorted, duplicates
+        out[4] = np.array([9, 9, 9])
+        out[11] = np.array([5, 2, 2, 8, 5])
+        out[0] = out[17] = out[29] = np.empty(0, dtype=np.int64)  # empty, first and last
+        return out
+
+    @staticmethod
+    def expected(query, sets, positions, measure):
+        f = sim.sim_fn(measure)
+        return [f(np.asarray(query, dtype=np.int64), sets[i]) for i in positions]
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_unsorted_duplicate_and_empty_sets(self, raw, measure):
+        packed = PackedSets(raw)
+        rng = np.random.default_rng(8)
+        for q in [raw[11], raw[4], rng.integers(0, 60, 9), [59, 3, 3, 0]]:
+            assert packed.sims(q, measure).tolist() == self.expected(q, raw, range(len(raw)), measure)
+        assert packed.lens.tolist() == [len(np.unique(x)) for x in raw]
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_custom_storage_order(self, raw, measure):
+        order = np.random.default_rng(9).permutation(len(raw))[:25]
+        packed = PackedSets(raw, order)
+        assert packed.ids.tolist() == order.tolist()
+        q = raw[5]
+        exp = self.expected(q, raw, order, measure)
+        assert packed.sims(q, measure).tolist() == exp
+        for lo, hi in [(0, 25), (3, 9), (7, 7), (24, 25)]:
+            assert packed.sims_subset(q, slice(lo, hi), measure).tolist() == exp[lo:hi]
+        pos = np.array([24, 0, 13, 13])
+        assert packed.sims_subset(q, pos, measure).tolist() == [exp[p] for p in pos]
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_query_tokens_outside_vocab_and_empty_query(self, raw, measure):
+        packed = PackedSets(raw)
+        everywhere = range(len(raw))
+        for q in [[-5, 2, 61, 1000], [1000], [-1], [], [60, 61], [0, 59]]:
+            assert packed.sims(q, measure).tolist() == self.expected(q, raw, everywhere, measure)
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_no_tokens_stored(self, measure):
+        empties = [np.empty(0, dtype=np.int64)] * 3
+        packed = PackedSets(empties)
+        assert len(packed.vocab) == 0
+        for q in [[1, 2], []]:
+            assert packed.sims(q, measure).tolist() == [0.0, 0.0, 0.0]
+        assert PackedSets([]).sims([1], measure).tolist() == []
+
+    @pytest.mark.parametrize("measure", sim.MEASURES)
+    def test_tgm_group_with_no_members(self, measure):
+        sets = [t([1, 2, 3]), t([7, 8]), t([2, 3, 9]), t([1, 3])]
+        tgm = TGM(4)
+        for sid, s in enumerate(sets):
+            tgm.insert(s, sid, measure)
+        empty = [g for g in range(4) if not tgm.group_members[g]]
+        assert empty == [2, 3]
+        eng = LocalLES3(sets, tgm, measure)
+        for g in range(4):
+            lo, hi = eng.gstart[g], eng.gstart[g + 1]
+            assert eng.packed.ids[lo:hi].tolist() == tgm.group_members[g]
+        for g in empty:
+            assert eng.packed.sims_subset(sets[0], slice(eng.gstart[g], eng.gstart[g + 1]), measure).size == 0
+        f = sim.sim_fn(measure)
+        for q in sets + [t([3, 9, 40])]:
+            ranked = sorted(((s, f(q, x)) for s, x in enumerate(sets)), key=lambda p: (-p[1], p[0]))
+            assert eng.knn(q, 2)[0] == ranked[:2]
+            assert eng.range(q, 0.0)[0] == ranked
 
 
 class TestPairSims:
