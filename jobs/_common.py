@@ -1,16 +1,10 @@
-"""Shared plumbing for the spark-submit experiment entrypoints.
-
-Each job is `python jobs/<name>.py` (or spark-submit) and prints the
-table(s) its experiment reproduces; pass --out to also write CSVs.
-"""
+"""The Spark session of ``jobs/run.py``; importing this module also puts
+``src/`` on the path."""
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
-
-import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -40,19 +34,3 @@ def get_spark():
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-
-
-def emit(name: str, df: pd.DataFrame, out_dir: str | None) -> None:
-    pd.set_option("display.width", 220)
-    print(f"\n== {name} ==")
-    print(df.to_string(index=False))
-    if out_dir:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        df.to_csv(Path(out_dir) / f"{name}.csv", index=False)
-
-
-def parse_args(description: str) -> argparse.Namespace:
-    p = argparse.ArgumentParser(description=description)
-    p.add_argument("--out", default=None, help="directory for CSV output")
-    p.add_argument("--seed", type=int, default=0)
-    return p.parse_args()

@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats
+from ..core.search import SearchStats, TopK, query_frame, ranked
 from ..core.similarity import sim_expr
 
 
@@ -33,20 +33,18 @@ class LocalBrute:
         sims = self._all_sims(q)
         st = SearchStats(n_candidates=len(self.sets), n_groups_verified=1)
         hits = np.flatnonzero(sims >= delta)
-        out = sorted(((int(i), float(sims[i])) for i in hits), key=lambda t: (-t[1], t[0]))
+        out = ranked(sims[hits], hits)
         st.n_results = len(out)
         return out, st
 
     def knn(self, q: np.ndarray, k: int) -> Tuple[List[Tuple[int, float]], SearchStats]:
-        sims = self._all_sims(q)
-        st = SearchStats(n_candidates=len(self.sets), n_groups_verified=1, n_results=min(k, len(sims)))
-        top = np.argsort(-sims, kind="stable")[:k]
-        return [(int(i), float(sims[i])) for i in top], st
+        top = TopK(k)
+        top.merge(self._all_sims(q), np.arange(len(self.sets)))
+        return top.answer(SearchStats(n_candidates=len(self.sets), n_groups_verified=1))
 
 
 from pyspark.sql import DataFrame, SparkSession  # noqa: E402
 from pyspark.sql import functions as F  # noqa: E402
-from pyspark.sql import types as T  # noqa: E402
 
 
 class SparkBrute:
@@ -58,19 +56,7 @@ class SparkBrute:
         self.data = data  # (sid, tokens [, gid])
 
     def _scored(self, queries: Sequence[np.ndarray]) -> DataFrame:
-        pdf = pd.DataFrame(
-            {
-                "qid": np.arange(len(queries), dtype=np.int64),
-                "q_tokens": [[int(t) for t in np.unique(q)] for q in queries],
-            }
-        )
-        schema = T.StructType(
-            [
-                T.StructField("qid", T.LongType(), False),
-                T.StructField("q_tokens", T.ArrayType(T.LongType()), False),
-            ]
-        )
-        qdf = self.spark.createDataFrame(pdf, schema=schema)
+        qdf = query_frame(self.spark, queries)
         return self.data.crossJoin(F.broadcast(qdf)).select(
             "qid", "sid", sim_expr("jaccard").alias("sim")
         )

@@ -16,12 +16,13 @@ DFS prune. Verification computes true Jaccard on the original sets.
 from __future__ import annotations
 
 import heapq
+from itertools import count
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats
+from ..core.search import SearchStats, TopK, ranked
 from .rtree import RNode, RTree
 
 
@@ -77,7 +78,7 @@ class DualTransEngine:
     def range(self, q: np.ndarray, delta: float) -> Tuple[List[Tuple[int, float]], SearchStats]:
         st = SearchStats()
         qv = self._query_vec(q)
-        out: List[Tuple[int, float]] = []
+        sims, sids = [np.empty(0)], [np.empty(0, dtype=np.int64)]
         stack = [self.tree.root]
         while stack:
             node = stack.pop()
@@ -85,49 +86,40 @@ class DualTransEngine:
             if _pair_ub(qv, node.lo, node.hi) < delta:
                 continue
             if node.is_leaf:
-                sids = node.point_ids
-                sims = self.packed.sims_subset(q, sids)
-                st.n_candidates += len(sids)
+                got = self.packed.sims_subset(q, node.point_ids)
+                keep = got >= delta
+                sims.append(got[keep])
+                sids.append(node.point_ids[keep])
+                st.n_candidates += len(got)
                 st.n_groups_verified += 1
-                for s, v in zip(sids, sims):
-                    if v >= delta:
-                        out.append((int(s), float(v)))
             else:
                 stack.extend(node.children)
+        out = ranked(np.concatenate(sims), np.concatenate(sids))
         st.n_results = len(out)
-        return sorted(out, key=lambda t: (-t[1], t[0])), st
+        return out, st
 
     def knn(self, q: np.ndarray, k: int) -> Tuple[List[Tuple[int, float]], SearchStats]:
+        top = TopK(k)
         st = SearchStats()
         qv = self._query_vec(q)
-        heap: List[Tuple[float, int]] = []  # min-heap of result sims
-        # max-heap on node UB via negation; tie-break by insertion order
-        pq: List[Tuple[float, int, RNode]] = [(-1.0, 0, self.tree.root)]
-        counter = 1
+        # max-heap on node UB via negation; ties go to the earlier push
+        tick = count()
+        pq: List[Tuple[float, int, RNode]] = [(-1.0, next(tick), self.tree.root)]
         while pq:
             neg_ub, _, node = heapq.heappop(pq)
-            if len(heap) >= k and -neg_ub <= heap[0][0]:
+            if top.dominates(-neg_ub):
                 break
             st.index_elems += 1
             if node.is_leaf:
-                sids = node.point_ids
-                sims = self.packed.sims_subset(q, sids)
-                st.n_candidates += len(sids)
+                top.merge(self.packed.sims_subset(q, node.point_ids), node.point_ids)
+                st.n_candidates += len(node.point_ids)
                 st.n_groups_verified += 1
-                for s, v in zip(sids, sims):
-                    if len(heap) < k:
-                        heapq.heappush(heap, (float(v), int(s)))
-                    elif v > heap[0][0]:
-                        heapq.heapreplace(heap, (float(v), int(s)))
             else:
                 for c in node.children:
                     ub = _pair_ub(qv, c.lo, c.hi)
-                    if len(heap) < k or ub > heap[0][0]:
-                        heapq.heappush(pq, (-ub, counter, c))
-                        counter += 1
-        res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
-        st.n_results = len(res)
-        return res, st
+                    if not top.dominates(ub):
+                        heapq.heappush(pq, (-ub, next(tick), c))
+        return top.answer(st)
 
     def index_bytes(self) -> int:
         """R-tree plus the materialized vectors — what Figure 11 reports.

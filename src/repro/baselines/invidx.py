@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats
+from ..core.search import SearchStats, TopK, query_frame, ranked
 from ..core.similarity import sim_expr
 from .brute import SparkBrute
 
@@ -74,41 +74,34 @@ class LocalInvIdx:
         ids = self._candidates(q, delta, st)
         sims = self.packed.sims_subset(q, ids)
         st.n_candidates = len(ids)
-        out = sorted(
-            ((int(i), float(v)) for i, v in zip(ids, sims) if v >= delta),
-            key=lambda t: (-t[1], t[0]),
-        )
+        keep = sims >= delta
+        out = ranked(sims[keep], ids[keep])
         st.n_results = len(out)
         return out, st
 
     def knn(
         self, q: np.ndarray, k: int, *, z: float = 0.1
     ) -> Tuple[List[Tuple[int, float]], SearchStats]:
+        top = TopK(k)
         st = SearchStats()
-        seen: Dict[int, float] = {}
+        seen = np.zeros(len(self.sets), dtype=bool)
         delta = 1.0
         while True:
             ids = self._candidates(q, delta, st)
-            new = np.array([i for i in ids if i not in seen], dtype=np.int64)
-            sims = self.packed.sims_subset(q, new)
+            new = ids[~seen[ids]]
+            seen[new] = True
+            top.merge(self.packed.sims_subset(q, new), new)
             st.n_candidates += len(new)
-            seen.update({int(i): float(v) for i, v in zip(new, sims)})
-            top = sorted(seen.items(), key=lambda t: (-t[1], t[0]))[:k]
-            kth = top[-1][1] if len(top) >= k else -1.0
-            if kth >= delta or delta <= 0.0:
-                if len(top) < k:
-                    # fewer than k sets share any token with Q: pad the
-                    # answer with similarity-0 sets (Definition 2.1 asks
-                    # for exactly k results)
-                    for sid in range(len(self.sets)):
-                        if len(top) >= k:
-                            break
-                        if sid not in seen:
-                            top.append((sid, 0.0))
-                            st.n_candidates += 1
-                st.n_results = len(top)
-                return top, st
+            if (len(top.sims) >= k and top.sims[-1] >= delta) or delta <= 0.0:
+                break
             delta = max(0.0, delta - z)
+        # fewer than k sets share any token with Q: pad the answer with
+        # the smallest unseen sids at similarity 0 (Definition 2.1 asks
+        # for exactly k results)
+        pad = np.flatnonzero(~seen)[: k - len(top.sims)]
+        top.merge(np.zeros(len(pad)), pad)
+        st.n_candidates += len(pad)
+        return top.answer(st)
 
     def index_bytes(self) -> int:
         """Postings entries at 8 bytes each plus the per-set size table."""
@@ -117,7 +110,6 @@ class LocalInvIdx:
 
 from pyspark.sql import DataFrame, SparkSession  # noqa: E402
 from pyspark.sql import functions as F  # noqa: E402
-from pyspark.sql import types as T  # noqa: E402
 
 
 class SparkInvIdx:
@@ -168,22 +160,9 @@ class SparkInvIdx:
             .select("qid", "sid")
             .distinct()
         )
-        qpdf = pd.DataFrame(
-            {
-                "qid": np.arange(len(queries), dtype=np.int64),
-                "q_tokens": [[int(t) for t in np.unique(q)] for q in queries],
-            }
-        )
-        schema = T.StructType(
-            [
-                T.StructField("qid", T.LongType(), False),
-                T.StructField("q_tokens", T.ArrayType(T.LongType()), False),
-            ]
-        )
-        qdf = self.spark.createDataFrame(qpdf, schema=schema)
         return (
             cands.join(self.data, "sid")
-            .join(F.broadcast(qdf), "qid")
+            .join(F.broadcast(query_frame(self.spark, queries)), "qid")
             .select("qid", "sid", sim_expr("jaccard").alias("sim"))
             .where(F.col("sim") >= delta)
             .orderBy("qid", F.desc("sim"), "sid")

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import List, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
 
 from .packed import PackedSets
-from .similarity import group_upper_bounds, sim_expr
-from .tgm import HTGM, TGM
+from .similarity import sim_expr
+from .tgm import HTGM, TGM, candidate_groups
 
 
 @dataclass
@@ -50,22 +50,16 @@ class SearchStats:
 class BatchStats:
     per_query: List[SearchStats] = field(default_factory=list)
 
-    def mean_pe(self, n_db: int, k_or_res: List[int]) -> float:
-        return float(
-            np.mean(
-                [s.pruning_efficiency(n_db, r) for s, r in zip(self.per_query, k_or_res)]
-            )
-        )
-
 
 class LocalLES3:
     """Filter-and-verify over a driver-resident database.
 
-    The sets are stored group by group in the order of the TGM that
-    verifies them (the HTGM's finest level when one is given), so group
-    ``g`` is the run ``gstart[g]:gstart[g + 1]`` of stored positions in
-    the shared verify kernel (see core/packed.py), which every engine
-    uses so that constant factors are comparable.
+    The index is a list of TGM levels, coarse to fine: the HTGM's levels
+    and child maps, or the one TGM given, which is the one-level case.
+    The sets are stored group by group in the order of the finest level,
+    so group ``g`` is the run ``gstart[g]:gstart[g + 1]`` of stored
+    positions in the shared verify kernel (see core/packed.py), which
+    every engine uses so that constant factors are comparable.
     """
 
     def __init__(
@@ -79,19 +73,20 @@ class LocalLES3:
         self.tgm = tgm
         self.htgm = htgm
         self.measure = measure
-        members = (tgm if htgm is None else htgm.fine).group_members
+        self.levels, self.children = (htgm.tgms, htgm.children) if htgm else ([tgm], [])
+        members = self.levels[-1].group_members
         sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
         self.gstart = np.zeros(len(members) + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.gstart[1:])
         order = np.fromiter(chain.from_iterable(members), dtype=np.int64, count=int(self.gstart[-1]))
         self.packed = PackedSets(sets, order)
 
-    def _verify(self, q: np.ndarray, g: int, st: SearchStats):
-        """Similarities and sids of group ``g``'s members, or ``None`` for
-        an empty group, which is not counted as verified."""
+    def _verify(self, q: np.ndarray, g: int, st: SearchStats) -> Tuple[np.ndarray, np.ndarray]:
+        """Similarities and sids of group ``g``'s members; an empty group
+        is not counted as verified."""
         lo, hi = int(self.gstart[g]), int(self.gstart[g + 1])
         if lo == hi:
-            return None
+            return _NO_SIMS, _NO_SIDS
         st.n_candidates += hi - lo
         st.n_groups_verified += 1
         return self.packed.sims_subset(q, slice(lo, hi), self.measure), self.packed.ids[lo:hi]
@@ -101,12 +96,7 @@ class LocalLES3:
         """All sets with ``Sim(Q, S) >= delta`` (Definition 2.2)."""
         st = SearchStats()
         q = np.unique(query)
-        if self.htgm is not None:
-            cand_groups, st.index_elems = self.htgm.candidate_groups(q, delta, self.measure)
-        else:
-            ubs = self.tgm.upper_bounds(q, self.measure)
-            st.index_elems = self.tgm.n_groups * len(q)
-            cand_groups = np.flatnonzero(ubs >= delta)
+        cand_groups, st.index_elems = candidate_groups(self.levels, self.children, q, delta, self.measure)
         sizes = self.gstart[cand_groups + 1] - self.gstart[cand_groups]
         st.n_candidates = int(sizes.sum())
         st.n_groups_verified = int(np.count_nonzero(sizes))
@@ -120,69 +110,44 @@ class LocalLES3:
             keep = got >= delta
             sims.append(got[keep])
             sids.append(self.packed.ids[lo:hi][keep])
-        out = _ranked(np.concatenate(sims), np.concatenate(sids))
+        out = ranked(np.concatenate(sims), np.concatenate(sids))
         st.n_results = len(out)
         return out, st
 
     # -- kNN ---------------------------------------------------------------
     def knn(self, query: np.ndarray, k: int) -> Tuple[List[Tuple[int, float]], SearchStats]:
-        """Exact k nearest sets (Definition 2.1), visiting groups in
-        UB-descending order and stopping once the running k-th similarity
-        dominates the next group's bound. Ties at the k-th similarity go
-        to the smaller sids."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        """Exact k nearest sets (Definition 2.1), best-first over the
+        levels (§3.1, §5.2).
+
+        Groups of every level share one priority queue keyed by their
+        UB, ties going to the earlier push (for one level: the smaller
+        group). A popped finest-level group is verified; a popped coarser
+        group is expanded into its children. ``index_elems`` counts the
+        matrix cells the walk reads, ``|children| · |Q|`` per expansion,
+        so a coarse group the running k-th similarity dominates is never
+        expanded, which is where HTGM saves index accesses. The search
+        stops once the k-th similarity dominates the next bound. Ties at
+        the k-th similarity go to the smaller sids.
+        """
+        top = TopK(k)
         st = SearchStats()
         q = np.unique(query)
-        if self.htgm is not None:
-            return self._knn_hierarchical(q, k, st)
-        tgm = self.tgm
-        ubs = tgm.upper_bounds(q, self.measure)
-        st.index_elems = tgm.n_groups * len(q)
-        top = _TopK(k)
-        for g in np.argsort(-ubs, kind="stable"):
-            if top.dominates(ubs[g]):
-                break
-            top.merge(self._verify(q, int(g), st))
-        return top.answer(st)
-
-    def _knn_hierarchical(
-        self, q: np.ndarray, k: int, st: SearchStats
-    ) -> Tuple[List[Tuple[int, float]], SearchStats]:
-        """Best-first kNN over the HTGM (§5.2/§7.7).
-
-        Groups at every level live in one priority queue keyed by their
-        UB. Popping a non-final-level group expands it — computing the
-        UBs of its children only then, which is where HTGM saves index
-        accesses: a coarse group dominated by the running k-th
-        similarity is never expanded, so its children's (much more
-        numerous) matrix cells are never counted in ``index_elems``,
-        which models that cost as ``|children| · |Q|`` per expansion.
-        """
-        h = self.htgm
-        top = _TopK(k)
-        pq: List[Tuple[float, int, int, int]] = []  # (-ub, tiebreak, level, group)
-        counter = 0
-        counts0 = h.tgms[0].match_counts(q)
-        st.index_elems += h.tgms[0].n_groups * len(q)
-        ubs0 = group_upper_bounds(counts0, len(q), self.measure)
-        for g, ub in enumerate(ubs0):
-            heapq.heappush(pq, (-float(ub), counter, 0, g))
-            counter += 1
-        last = len(h.tgms) - 1
+        ubs = [tgm.upper_bounds(q, self.measure).tolist() for tgm in self.levels]
+        st.index_elems = len(ubs[0]) * len(q)
+        tick = count()
+        pq = [(-ub, next(tick), 0, g) for g, ub in enumerate(ubs[0])]
+        heapq.heapify(pq)
         while pq:
             neg_ub, _, level, g = heapq.heappop(pq)
             if top.dominates(-neg_ub):
                 break
-            if level == last:
-                top.merge(self._verify(q, g, st))
+            if level == len(self.children):
+                top.merge(*self._verify(q, g, st))
                 continue
-            kids = h.children[level][g]
-            counts = h.tgms[level + 1].match_counts(q)[kids]
+            kids = self.children[level][g].tolist()
             st.index_elems += len(kids) * len(q)
-            for c, ub in zip(kids, group_upper_bounds(counts, len(q), self.measure)):
-                heapq.heappush(pq, (-float(ub), counter, level + 1, int(c)))
-                counter += 1
+            for c in kids:
+                heapq.heappush(pq, (-ubs[level + 1][c], next(tick), level + 1, c))
         return top.answer(st)
 
 
@@ -190,32 +155,33 @@ _NO_SIMS = np.empty(0, dtype=np.float64)
 _NO_SIDS = np.empty(0, dtype=np.int64)
 
 
-def _ranked(sims: np.ndarray, sids: np.ndarray) -> List[Tuple[int, float]]:
-    """``(sid, sim)`` pairs in ``(-sim, sid)`` order."""
+def ranked(sims: np.ndarray, sids: np.ndarray) -> List[Tuple[int, float]]:
+    """``(sid, sim)`` pairs in ``(-sim, sid)`` order: the one answer order
+    of every engine."""
     by = np.lexsort((sids, -sims))
     return list(zip(sids[by].tolist(), sims[by].tolist()))
 
 
-class _TopK:
+class TopK:
     """The best k ``(sim, sid)`` pairs seen so far, in ``(-sim, sid)``
-    order, held as numpy arrays."""
+    order, held as numpy arrays: every local engine's kNN answer is the
+    first k of :func:`ranked` over the sets it verified."""
 
     def __init__(self, k: int):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         self.k = k
         self.sims, self.sids = _NO_SIMS, _NO_SIDS
 
     def dominates(self, ub: float) -> bool:
-        """Whether k pairs are held and a group bounded by ``ub`` can
-        hold none better than the k-th."""
+        """Whether k pairs are held and sets bounded by ``ub`` can hold
+        none better than the k-th, ties included."""
         return len(self.sims) >= self.k and ub < self.sims[-1]
 
-    def merge(self, got) -> None:
-        """Fold in one verified group's ``(sims, sids)``; a group whose
-        best similarity is below the k-th leaves the top k as it is."""
-        if got is None:
-            return
-        sims, sids = got
-        if len(self.sims) >= self.k and sims.max() < self.sims[-1]:
+    def merge(self, sims: np.ndarray, sids: np.ndarray) -> None:
+        """Fold in verified ``(sims, sids)``; a batch whose best
+        similarity is below the k-th leaves the top k as it is."""
+        if len(sims) == 0 or self.dominates(sims.max()):
             return
         sims = np.concatenate((self.sims, sims))
         sids = np.concatenate((self.sids, sids))
@@ -253,6 +219,27 @@ def attach_groups(
     return df.join(gdf, "sid").repartition(max(1, len(np.unique(groups))), "gid")
 
 
+def query_frame(
+    spark: SparkSession,
+    queries: Sequence[np.ndarray],
+    groups: Sequence[np.ndarray] | None = None,
+) -> DataFrame:
+    """The query batch as ``(qid, q_tokens)``, each query's distinct
+    tokens, or with ``groups[qid]`` given as ``(qid, gid, q_tokens)``,
+    one row per candidate group of each query."""
+    toks = [np.unique(q).tolist() for q in queries]
+    cols = {"qid": np.arange(len(toks), dtype=np.int64)}
+    if groups is not None:
+        cols = {
+            "qid": np.repeat(cols["qid"], [len(g) for g in groups]),
+            "gid": np.concatenate([_NO_SIDS, *groups]).astype(np.int64),
+        }
+    pdf = pd.DataFrame({**cols, "q_tokens": [toks[i] for i in cols["qid"]]})
+    fields = [T.StructField(c, T.LongType(), False) for c in cols]
+    schema = T.StructType(fields + [T.StructField("q_tokens", T.ArrayType(T.LongType()), False)])
+    return spark.createDataFrame(pdf, schema=schema)
+
+
 def _count_results(out: pd.DataFrame, stats: BatchStats) -> None:
     """Set each query's ``n_results`` to its row count in ``out``."""
     counts = out.groupby("qid").size()
@@ -276,21 +263,6 @@ class SparkLES3:
         self.data = data
         self.tgm = tgm
         self.measure = measure
-
-    def _query_df(self, queries: Sequence[np.ndarray], cand: List[np.ndarray]) -> DataFrame:
-        rows = []
-        for qid, (q, gs) in enumerate(zip(queries, cand)):
-            for g in gs:
-                rows.append((qid, int(g), [int(t) for t in np.unique(q)]))
-        pdf = pd.DataFrame(rows, columns=["qid", "gid", "q_tokens"])
-        schema = T.StructType(
-            [
-                T.StructField("qid", T.LongType(), False),
-                T.StructField("gid", T.LongType(), False),
-                T.StructField("q_tokens", T.ArrayType(T.LongType()), False),
-            ]
-        )
-        return self.spark.createDataFrame(pdf, schema=schema)
 
     def _verify(self, qdf: DataFrame, delta: float) -> DataFrame:
         joined = self.data.join(F.broadcast(qdf), "gid")
@@ -318,7 +290,7 @@ class SparkLES3:
         if not any(len(g) for g in cand):
             return pd.DataFrame(columns=["qid", "sid", "sim"]), stats
         out = (
-            self._verify(self._query_df(queries, cand), float(delta))
+            self._verify(query_frame(self.spark, queries, cand), float(delta))
             .orderBy("qid", F.desc("sim"), "sid")
             .toPandas()
         )
@@ -352,7 +324,7 @@ class SparkLES3:
                 SearchStats(index_elems=self.tgm.n_groups * len(qu))
             )
         pass1 = (
-            self._verify(self._query_df(queries, seed_groups), 0.0)
+            self._verify(query_frame(self.spark, queries, seed_groups), 0.0)
             .toPandas()
         )
         thresholds: List[float] = []
@@ -372,7 +344,7 @@ class SparkLES3:
             )
         frames = [pass1]
         if any(len(g) for g in rest):
-            frames.append(self._verify(self._query_df(queries, rest), 0.0).toPandas())
+            frames.append(self._verify(query_frame(self.spark, queries, rest), 0.0).toPandas())
         allres = pd.concat(frames, ignore_index=True)
         top = (
             allres.sort_values(["qid", "sim", "sid"], ascending=[True, False, True])

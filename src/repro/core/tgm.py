@@ -139,20 +139,33 @@ class HTGM:
     ) -> tuple[np.ndarray, int]:
         """Fine-level groups whose bound survives every level, plus the
         count of matrix elements accessed along the way."""
-        q = np.unique(query)
-        alive = np.arange(self.tgms[0].n_groups)
-        accessed = 0
-        for li, tgm in enumerate(self.tgms):
-            if li > 0:
-                kids = [self.children[li - 1][g] for g in alive]
-                alive = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *kids]))
-            if len(alive) == 0:
-                return alive, accessed
-            counts = tgm.match_counts(q)[alive]
-            accessed += len(alive) * len(q)
-            ubs = group_upper_bounds(counts, len(q), measure)
-            alive = alive[ubs >= threshold]
-        return alive, accessed
+        return candidate_groups(self.tgms, self.children, query, threshold, measure)
 
     def index_bytes(self) -> int:
         return sum(t.index_bytes() for t in self.tgms)
+
+
+def candidate_groups(
+    tgms: Sequence[TGM],
+    children: Sequence[Sequence[np.ndarray]],
+    query: np.ndarray,
+    threshold: float,
+    measure: str = "jaccard",
+) -> tuple[np.ndarray, int]:
+    """The range filter over TGM levels, coarse to fine (one level is a
+    flat TGM): the last level's groups whose bound clears ``threshold``
+    at every level, plus ``|alive groups| · |Q|`` matrix elements
+    accessed per level. ``children[i][g]`` are the level-(i+1) groups
+    under level-i group ``g``."""
+    q = np.unique(query)
+    alive = np.arange(tgms[0].n_groups)
+    accessed = 0
+    for li, tgm in enumerate(tgms):
+        if li > 0:
+            kids = [children[li - 1][g] for g in alive]
+            alive = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *kids]))
+        if len(alive) == 0:
+            return alive, accessed
+        accessed += len(alive) * len(q)
+        alive = alive[tgm.upper_bounds(q, measure)[alive] >= threshold]
+    return alive, accessed

@@ -16,7 +16,7 @@ import pandas as pd
 from ..core.ptr import ptr
 from ..core.l2p import l2p_partition
 from ..core.search import LocalLES3
-from ..core.tgm import HTGM, TGM
+from ..core.tgm import HTGM
 from ..synth_data import powerlaw_sim_db, sample_queries
 from .common import timed_queries
 
@@ -48,9 +48,9 @@ def run(
             l for l in part.levels if len(np.unique(l)) >= coarse_groups
         )
         fine = part.levels[-1]
-        tgm = TGM.from_partition(db.sets, fine)
-        flat = LocalLES3(db.sets, tgm)
-        hier = LocalLES3(db.sets, tgm, htgm=HTGM(db.sets, [coarse, fine]))
+        htgm = HTGM(db.sets, [coarse, fine])
+        flat = LocalLES3(db.sets, htgm.fine)
+        hier = LocalLES3(db.sets, htgm.fine, htgm=htgm)
         queries = sample_queries(db, n=n_queries, seed=seed + 1)
         _, st_flat, res_flat = timed_queries(lambda q: flat.knn(q, k), queries)
         _, st_hier, res_hier = timed_queries(lambda q: hier.knn(q, k), queries)

@@ -60,10 +60,6 @@ def run(
     n_queries: int = 40,
     seed: int = 0,
 ) -> pd.DataFrame:
-    from .common import default_groups
-
-    import numpy as _np
-
     params = _base_params(scale)
     base = gen_sets(**params, seed=seed)
     # fix the group count for incremental AND re-build: TGM insertion
@@ -104,7 +100,7 @@ def run(
                 rb = build_les3(full, n_groups=n_groups, seed=seed + off)
                 _, stats_rb, _ = timed_queries(lambda q: rb.engine.knn(q, k), queries)
                 pes.append(mean_pe(stats_rb, len(all_sets), [k] * len(queries)))
-            pe_rb = float(_np.mean(pes))
+            pe_rb = float(np.mean(pes))
 
             rows.append(
                 {

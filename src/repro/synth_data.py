@@ -1,8 +1,17 @@
-"""Synthetic OLAP data at a configurable scale factor.
+"""Synthetic set databases and query workloads.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+- :func:`gen_sets` draws Zipfian-token sets, optionally around shared
+  cluster cores (near duplicates); :func:`dataset` scales one of the
+  paper's Table-2 datasets (:data:`SET_PRESETS`) down to that shape.
+- :func:`powerlaw_sim_db` controls the pairwise-similarity tail for the
+  TGM-vs-HTGM experiment (§7.7).
+- :func:`sample_queries` draws a query workload from a database (§7.1).
+- :func:`sets_df` lifts a :class:`SetDB` into a Spark ``(sid, tokens)``
+  DataFrame; :func:`orders_as_sets` turns a small TPC-H-style
+  ``lineitem`` table into one set of part keys per order.
+
+Every generator is deterministic in ``seed``, so engines and the DuckDB
+oracle see identical input.
 """
 import numpy as np
 import pandas as pd

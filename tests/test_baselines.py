@@ -41,9 +41,16 @@ class TestExactness:
         for q in sample_queries(db, n=6, seed=32):
             got, _ = engines[name].knn(q, k)
             exp, _ = engines["brute"].knn(q, k)
-            np.testing.assert_allclose(
-                sorted(v for _, v in got), sorted(v for _, v in exp), atol=1e-12
-            )
+            assert got == exp
+
+    @pytest.mark.parametrize("name", ["invidx", "dualtrans"])
+    def test_knn_of_tokens_in_no_set(self, db, engines, name):
+        """Every set ties at similarity 0: the answer is the smallest sids."""
+        absent = np.setdiff1d(np.arange(db.n_tokens), np.concatenate(db.sets))[:2]
+        assert len(absent)
+        got, st = engines[name].knn(absent, 5)
+        assert got == [(sid, 0.0) for sid in range(5)]
+        assert st.n_results == 5
 
 
 class TestInvIdx:
