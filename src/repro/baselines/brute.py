@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, TopK, query_frame, ranked
+from ..core.search import SearchStats, TopK, answer, check_k, query_frame, ranked
 from ..core.similarity import sim_expr
 
 
@@ -62,22 +62,8 @@ class SparkBrute:
         )
 
     def range_batch(self, queries: Sequence[np.ndarray], delta: float) -> pd.DataFrame:
-        return (
-            self._scored(queries)
-            .where(F.col("sim") >= delta)
-            .orderBy("qid", F.desc("sim"), "sid")
-            .toPandas()
-        )
+        return answer(self._scored(queries), delta=delta)
 
     def knn_batch(self, queries: Sequence[np.ndarray], k: int) -> pd.DataFrame:
-        from pyspark.sql.window import Window
-
-        w = Window.partitionBy("qid").orderBy(F.desc("sim"), F.asc("sid"))
-        return (
-            self._scored(queries)
-            .withColumn("rn", F.row_number().over(w))
-            .where(F.col("rn") <= k)
-            .drop("rn")
-            .orderBy("qid", F.desc("sim"), "sid")
-            .toPandas()
-        )
+        check_k(k)
+        return answer(self._scored(queries), k=k)

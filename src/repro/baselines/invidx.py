@@ -24,9 +24,26 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, TopK, query_frame, ranked
+from ..core.search import SearchStats, TopK, answer, check_k, query_frame, ranked
 from ..core.similarity import sim_expr
 from .brute import SparkBrute
+
+
+def rarest_first(freq: np.ndarray) -> np.ndarray:
+    """``rank[t]``: the position of token t in the global order of
+    ascending frequency (rarest first, ties by token id)."""
+    rank = np.empty(len(freq), dtype=np.int64)
+    rank[np.argsort(freq, kind="stable")] = np.arange(len(freq))
+    return rank
+
+
+def prefix(q: np.ndarray, rank: np.ndarray, delta: float) -> np.ndarray:
+    """Q's distinct tokens rarest first, cut to the prefix every set with
+    ``J(Q, S) >= delta`` shares a token with: ``|Q| - ceil(delta|Q|) + 1``
+    tokens, at least one."""
+    qs = np.unique(q)
+    qs = qs[np.argsort(rank[qs], kind="stable")]
+    return qs[: max(1, len(qs) - int(np.ceil(delta * len(qs))) + 1)]
 
 
 class LocalInvIdx:
@@ -38,26 +55,17 @@ class LocalInvIdx:
         freq = np.zeros(n_tokens, dtype=np.int64)
         for s in sets:
             freq[s] += 1
-        # rank[t): position of token t in the rarest-first global order
-        order = np.argsort(freq, kind="stable")
-        self.rank = np.empty(n_tokens, dtype=np.int64)
-        self.rank[order] = np.arange(n_tokens)
+        self.rank = rarest_first(freq)
         self.postings: Dict[int, List[int]] = {}
         for sid, s in enumerate(sets):
             for t in s:
                 self.postings.setdefault(int(t), []).append(sid)
         self.sizes = np.array([len(s) for s in sets], dtype=np.int64)
 
-    def _prefix(self, q: np.ndarray, delta: float) -> np.ndarray:
-        qs = np.unique(q)
-        qs = qs[np.argsort(self.rank[qs], kind="stable")]
-        plen = len(qs) - int(np.ceil(delta * len(qs))) + 1
-        return qs[: max(1, plen)]
-
     def _candidates(self, q: np.ndarray, delta: float, st: SearchStats) -> np.ndarray:
         qs = np.unique(q)
         cand: set[int] = set()
-        for t in self._prefix(qs, delta):
+        for t in prefix(qs, self.rank, delta):
             plist = self.postings.get(int(t), [])
             st.index_elems += len(plist)
             st.n_probes += 1
@@ -128,9 +136,7 @@ class SparkInvIdx:
         )
         freq = np.zeros(n_tokens, dtype=np.int64)
         freq[freq_pdf["token"].to_numpy()] = freq_pdf["count"].to_numpy()
-        order = np.argsort(freq, kind="stable")
-        self.rank = np.empty(n_tokens, dtype=np.int64)
-        self.rank[order] = np.arange(n_tokens)
+        self.rank = rarest_first(freq)
         self.postings = (
             self.data.select(
                 "sid", F.size("tokens").alias("sz"), F.explode("tokens").alias("token")
@@ -139,14 +145,13 @@ class SparkInvIdx:
         self.postings.count()
 
     def _prefix_df(self, queries: Sequence[np.ndarray], delta: float) -> DataFrame:
-        rows = []
-        for qid, q in enumerate(queries):
-            qs = np.unique(q)
-            qs = qs[np.argsort(self.rank[qs], kind="stable")]
-            plen = max(1, len(qs) - int(np.ceil(delta * len(qs))) + 1)
-            for t in qs[:plen]:
-                rows.append((qid, int(t), len(qs)))
-        pdf = pd.DataFrame(rows, columns=["qid", "token", "qsz"])
+        prefixes = [prefix(q, self.rank, delta) for q in queries]
+        lens = [len(p) for p in prefixes]
+        pdf = pd.DataFrame({
+            "qid": np.repeat(np.arange(len(queries)), lens),
+            "token": np.concatenate([np.empty(0, dtype=np.int64), *prefixes]),
+            "qsz": np.repeat([len(np.unique(q)) for q in queries], lens),
+        })
         return self.spark.createDataFrame(pdf, schema="qid bigint, token bigint, qsz bigint")
 
     def range_batch(self, queries: Sequence[np.ndarray], delta: float) -> pd.DataFrame:
@@ -160,49 +165,38 @@ class SparkInvIdx:
             .select("qid", "sid")
             .distinct()
         )
-        return (
+        scored = (
             cands.join(self.data, "sid")
             .join(F.broadcast(query_frame(self.spark, queries)), "qid")
             .select("qid", "sid", sim_expr("jaccard").alias("sim"))
-            .where(F.col("sim") >= delta)
-            .orderBy("qid", F.desc("sim"), "sid")
-            .toPandas()
         )
+        return answer(scored, delta=delta)
 
     def knn_batch(
         self, queries: Sequence[np.ndarray], k: int, *, z: float = 0.1
     ) -> pd.DataFrame:
-        """δ-descent over the whole batch; a query leaves the loop once its
-        running k-th similarity certifies exactness at the current δ."""
-        remaining = list(range(len(queries)))
-        best: Dict[int, pd.DataFrame] = {}
+        """δ-descent over the whole batch. A range answer at δ holds every
+        set with ``Sim >= δ``, so a query with at least k rows there is
+        answered by its first k; the others go on to ``δ - z``, and at
+        δ <= 0 to a full scan."""
+        check_k(k)
+        remaining = np.arange(len(queries))
+        answers = []
         delta = 1.0
-        while remaining:
+        while len(remaining):
             sub = [queries[i] for i in remaining]
             if delta > 0:
                 out = self.range_batch(sub, max(delta, 1e-9))
             else:
                 out = SparkBrute(self.spark, self.data).range_batch(sub, 0.0)
-            out["qid"] = out["qid"].map({i: q for i, q in enumerate(remaining)})
-            for qid in list(remaining):
-                mine = out[out["qid"] == qid]
-                prev = best.get(qid)
-                allr = pd.concat([prev, mine]) if prev is not None else mine
-                allr = allr.drop_duplicates("sid").sort_values(
-                    ["sim", "sid"], ascending=[False, True]
-                )
-                best[qid] = allr.head(max(k, 1))
-                kth = allr["sim"].iloc[k - 1] if len(allr) >= k else -1.0
-                if kth >= delta or delta <= 0.0:
-                    remaining.remove(qid)
+            sub_qid = out["qid"].to_numpy(dtype=np.int64)
+            done = (np.bincount(sub_qid, minlength=len(sub)) >= k) | (delta <= 0.0)
+            out = out[done[sub_qid]].groupby("qid").head(k)
+            answers.append(out.assign(qid=remaining[out["qid"].to_numpy(dtype=np.int64)]))
+            remaining = remaining[~done]
             delta = max(0.0, delta - z) if delta > 0 else -1.0
-        frames = []
-        for qid, df in best.items():
-            d = df.copy()
-            d["qid"] = qid
-            frames.append(d)
         return (
-            pd.concat(frames, ignore_index=True)
+            pd.concat(answers, ignore_index=True)
             .sort_values(["qid", "sim", "sid"], ascending=[True, False, True])
             .reset_index(drop=True)
         )

@@ -15,6 +15,11 @@ Two engines:
   two passes: pass 1 verifies each query's best groups to get a
   k-th-similarity lower bound, pass 2 verifies every group whose UB
   clears that bound.
+
+The Spark engines (this one and the Spark baselines) filter, rank and
+collect their scored ``(qid, sid, sim)`` rows through :func:`answer`,
+except this engine's kNN passes, which are collected as they are and
+ranked on the driver.
 """
 from __future__ import annotations
 
@@ -162,14 +167,19 @@ def ranked(sims: np.ndarray, sids: np.ndarray) -> List[Tuple[int, float]]:
     return list(zip(sids[by].tolist(), sims[by].tolist()))
 
 
+def check_k(k: int) -> None:
+    """Reject a kNN ``k`` below 1, which no engine can honour."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 class TopK:
     """The best k ``(sim, sid)`` pairs seen so far, in ``(-sim, sid)``
     order, held as numpy arrays: every local engine's kNN answer is the
     first k of :func:`ranked` over the sets it verified."""
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        check_k(k)
         self.k = k
         self.sims, self.sids = _NO_SIMS, _NO_SIDS
 
@@ -199,9 +209,7 @@ class TopK:
 from pyspark.sql import DataFrame, SparkSession  # noqa: E402
 from pyspark.sql import functions as F  # noqa: E402
 from pyspark.sql import types as T  # noqa: E402
-
-
-RESULT_SCHEMA = "qid bigint, sid bigint, sim double"
+from pyspark.sql.window import Window  # noqa: E402
 
 
 def attach_groups(
@@ -240,17 +248,27 @@ def query_frame(
     return spark.createDataFrame(pdf, schema=schema)
 
 
-def _count_results(out: pd.DataFrame, stats: BatchStats) -> None:
-    """Set each query's ``n_results`` to its row count in ``out``."""
-    counts = out.groupby("qid").size()
-    for qid, st in enumerate(stats.per_query):
-        st.n_results = int(counts.get(qid, 0))
+def answer(scored: DataFrame, *, delta: float | None = None, k: int | None = None) -> pd.DataFrame:
+    """The one answer stage of every Spark engine: from a scored
+    ``(qid, sid, sim)`` frame keep ``sim >= delta`` (range) or each
+    query's first k rows in ``(-sim, sid)`` order (kNN), and collect
+    them ordered by ``(qid, -sim, sid)``."""
+    if delta is not None:
+        scored = scored.where(F.col("sim") >= delta)
+    if k is not None:
+        w = Window.partitionBy("qid").orderBy(F.desc("sim"), "sid")
+        scored = scored.withColumn("rn", F.row_number().over(w)).where(F.col("rn") <= k).drop("rn")
+    return scored.orderBy("qid", F.desc("sim"), "sid").toPandas()
 
 
 class SparkLES3:
     """Distributed LES³: TGM-driven candidate groups broadcast-joined
     against the group-partitioned database, verified with
-    :func:`.similarity.sim_expr` under any of the three measures."""
+    :func:`.similarity.sim_expr` under any of the three measures.
+
+    A batch is planned on the driver as one query × group matrix of
+    upper bounds; a boolean mask over it says which groups each query
+    verifies."""
 
     def __init__(
         self,
@@ -264,38 +282,43 @@ class SparkLES3:
         self.tgm = tgm
         self.measure = measure
 
-    def _verify(self, qdf: DataFrame, delta: float) -> DataFrame:
+    def _bounds(self, queries: Sequence[np.ndarray]) -> np.ndarray:
+        """``ubs[qid, g]``: the TGM upper bound of every group per query."""
+        ubs = [self.tgm.upper_bounds(q, self.measure) for q in queries]
+        return np.array(ubs, dtype=np.float64).reshape(len(queries), self.tgm.n_groups)
+
+    def _scored(self, queries: Sequence[np.ndarray], mask: np.ndarray) -> DataFrame:
+        """``(qid, sid, sim)`` of every member of the groups in ``mask``."""
+        qdf = query_frame(self.spark, queries, [np.flatnonzero(m) for m in mask])
         joined = self.data.join(F.broadcast(qdf), "gid")
-        scored = joined.select("qid", "sid", sim_expr(self.measure).alias("sim"))
-        return scored.where(F.col("sim") >= delta)
+        return joined.select("qid", "sid", sim_expr(self.measure).alias("sim"))
+
+    def _stats(self, queries: Sequence[np.ndarray], mask: np.ndarray, out: pd.DataFrame) -> BatchStats:
+        """Each query's ``SearchStats`` from the groups it verified and its answer rows."""
+        n_candidates = mask @ self.tgm.group_sizes
+        n_groups = mask.sum(axis=1)
+        n_results = np.bincount(out["qid"].to_numpy(dtype=np.int64), minlength=len(queries))
+        return BatchStats([
+            SearchStats(
+                n_candidates=int(n_candidates[qid]),
+                n_groups_verified=int(n_groups[qid]),
+                index_elems=self.tgm.n_groups * len(np.unique(q)),
+                n_results=int(n_results[qid]),
+            )
+            for qid, q in enumerate(queries)
+        ])
 
     # -- range -------------------------------------------------------------
     def range_batch(
         self, queries: Sequence[np.ndarray], delta: float
     ) -> Tuple[pd.DataFrame, BatchStats]:
-        """One Spark job answers the whole query batch exactly."""
-        stats = BatchStats()
-        cand: List[np.ndarray] = []
-        for q in queries:
-            qu = np.unique(q)
-            ubs = self.tgm.upper_bounds(qu, self.measure)
-            gs = np.flatnonzero(ubs >= delta)
-            cand.append(gs)
-            st = SearchStats(
-                n_candidates=int(self.tgm.group_sizes[gs].sum()),
-                n_groups_verified=len(gs),
-                index_elems=self.tgm.n_groups * len(qu),
-            )
-            stats.per_query.append(st)
-        if not any(len(g) for g in cand):
-            return pd.DataFrame(columns=["qid", "sid", "sim"]), stats
-        out = (
-            self._verify(query_frame(self.spark, queries, cand), float(delta))
-            .orderBy("qid", F.desc("sim"), "sid")
-            .toPandas()
-        )
-        _count_results(out, stats)
-        return out, stats
+        """One Spark job answers the whole query batch exactly: every
+        group with ``UB >= delta`` is verified."""
+        mask = self._bounds(queries) >= delta
+        out = pd.DataFrame(columns=["qid", "sid", "sim"])
+        if mask.any():
+            out = answer(self._scored(queries, mask), delta=float(delta))
+        return out, self._stats(queries, mask, out)
 
     # -- kNN ---------------------------------------------------------------
     def knn_batch(
@@ -308,49 +331,28 @@ class SparkLES3:
         similarity. Pass 2 verifies every remaining group with
         ``UB >= t_q``; anything outside has ``Sim <= UB < t_q`` and
         cannot enter the answer, so the union of both passes is exact.
+        Both passes collect their scored rows as they are; the top k are
+        taken on the driver.
         """
-        stats = BatchStats()
-        ubs_all: List[np.ndarray] = []
-        seed_groups: List[np.ndarray] = []
-        for q in queries:
-            qu = np.unique(q)
-            ubs = self.tgm.upper_bounds(qu, self.measure)
-            ubs_all.append(ubs)
-            order = np.argsort(-ubs, kind="stable")
-            csum = np.cumsum(self.tgm.group_sizes[order])
-            need = int(np.searchsorted(csum, k) + 1)
-            seed_groups.append(order[: min(need, len(order))])
-            stats.per_query.append(
-                SearchStats(index_elems=self.tgm.n_groups * len(qu))
-            )
-        pass1 = (
-            self._verify(query_frame(self.spark, queries, seed_groups), 0.0)
-            .toPandas()
-        )
-        thresholds: List[float] = []
-        for qid in range(len(queries)):
-            sims = pass1.loc[pass1["qid"] == qid, "sim"].to_numpy()
-            thresholds.append(float(np.partition(sims, -k)[-k]) if len(sims) >= k else 0.0)
-        rest: List[np.ndarray] = []
-        for qid, (ubs, seeds) in enumerate(zip(ubs_all, seed_groups)):
-            mask = ubs >= thresholds[qid]
-            mask[seeds] = False
-            rest.append(np.flatnonzero(mask))
-            st = stats.per_query[qid]
-            st.n_groups_verified = len(seeds) + int(mask.sum())
-            st.n_candidates = int(
-                self.tgm.group_sizes[seeds].sum()
-                + self.tgm.group_sizes[np.flatnonzero(mask)].sum()
-            )
-        frames = [pass1]
-        if any(len(g) for g in rest):
-            frames.append(self._verify(query_frame(self.spark, queries, rest), 0.0).toPandas())
-        allres = pd.concat(frames, ignore_index=True)
-        top = (
-            allres.sort_values(["qid", "sim", "sid"], ascending=[True, False, True])
+        check_k(k)
+        ubs = self._bounds(queries)
+        order = np.argsort(-ubs, axis=1, kind="stable")
+        held = np.cumsum(self.tgm.group_sizes[order], axis=1)
+        # seed groups: UB-best first, up to the first whose running size reaches k
+        need = (held < k).sum(axis=1) + 1
+        seed = np.zeros_like(ubs, dtype=bool)
+        np.put_along_axis(seed, order, np.arange(ubs.shape[1]) < need[:, None], axis=1)
+        rows = self._scored(queries, seed).toPandas().sort_values(["qid", "sim"], ascending=[True, False])
+        kth = rows.groupby("qid").nth(k - 1)
+        t = np.zeros(len(queries))  # 0 where pass 1 found fewer than k rows
+        t[kth["qid"].to_numpy(dtype=np.int64)] = kth["sim"].to_numpy()
+        rest = (ubs >= t[:, None]) & ~seed
+        if rest.any():
+            rows = pd.concat([rows, self._scored(queries, rest).toPandas()], ignore_index=True)
+        out = (
+            rows.sort_values(["qid", "sim", "sid"], ascending=[True, False, True])
             .groupby("qid")
             .head(k)
             .reset_index(drop=True)
         )
-        _count_results(top, stats)
-        return top, stats
+        return out, self._stats(queries, seed | rest, out)

@@ -138,10 +138,9 @@ class SiameseMLP:
                 d = dists[b]
                 ox, cx = self.forward(x[xi])
                 oy, cy = self.forward(x[yi])
-                same = (ox >= 0.5) == (oy >= 0.5)
-                w = 0.5 - np.abs(ox - oy)
-                losses.append(float(np.mean(np.where(same, w * d, 0.0))))
+                losses.append(float(np.mean(self.pair_loss(ox, oy, d))))
                 # dL/dOx = -sign(Ox-Oy) * d on same-side pairs, 0 otherwise.
+                same = (ox >= 0.5) == (oy >= 0.5)
                 sgn = np.sign(ox - oy)
                 dox = np.where(same, -sgn * d, 0.0) / len(b)
                 doy = np.where(same, sgn * d, 0.0) / len(b)

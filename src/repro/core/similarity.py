@@ -48,12 +48,6 @@ def tokens(xs: Iterable[int]) -> np.ndarray:
     return np.unique(np.asarray(list(xs), dtype=np.int64))
 
 
-def intersection_size(a: np.ndarray, b: np.ndarray) -> int:
-    """|a ∩ b| of the distinct tokens: duplicates count once, so
-    ``[1, 1, 2] ∩ [1, 1, 3]`` has size 1."""
-    return len(np.intersect1d(a, b, assume_unique=False))
-
-
 def sim_from_counts(c, q, s, measure: str = "jaccard") -> np.ndarray:
     """Vectorized ``Sim`` from ``|Q∩S|``, ``|Q|`` and ``|S|`` (broadcast).
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.brute import LocalBrute
 from repro.baselines.dualtrans import DualTransEngine, token_buckets, transform
-from repro.baselines.invidx import LocalInvIdx
+from repro.baselines.invidx import LocalInvIdx, prefix
 from repro.baselines.rtree import RTree
 from repro.core.similarity import jaccard
 from repro.synth_data import dataset, gen_sets, sample_queries
@@ -71,13 +71,13 @@ class TestInvIdx:
     def test_prefix_length_formula(self, db, engines):
         inv = engines["invidx"]
         q = np.unique(db.sets[0])
-        p = inv._prefix(q, 0.8)
+        p = prefix(q, inv.rank, 0.8)
         assert len(p) == max(1, len(q) - int(np.ceil(0.8 * len(q))) + 1)
 
     def test_prefix_is_rarest_first(self, db, engines):
         inv = engines["invidx"]
         q = np.unique(db.sets[1])
-        p = inv._prefix(q, 0.5)
+        p = prefix(q, inv.rank, 0.5)
         ranks = inv.rank[p]
         assert list(ranks) == sorted(ranks)
 

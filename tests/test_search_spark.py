@@ -70,19 +70,19 @@ def test_knn_batch_matches_local_engine(spark_engines, small_db, k):
         local = LocalLES3(db.sets, tgm, measure)
         out, stats = engine.knn_batch(queries, k)
         for qid, q in enumerate(queries):
-            got = out.loc[out["qid"] == qid].sort_values(
-                ["sim", "sid"], ascending=[False, True]
-            )
+            got = out.loc[out["qid"] == qid]
             exp, _ = local.knn(q, k)
+            assert list(zip(got["sid"], got["sim"])) == exp, (measure, qid)
             assert len(got) == min(k, len(db.sets)), measure
             assert stats.per_query[qid].n_results == len(got), measure
-            # similarity multiset must match exactly (ties may permute sids)
-            np.testing.assert_allclose(
-                np.sort(got["sim"].to_numpy()),
-                np.sort([v for _, v in exp]),
-                atol=1e-12,
-                err_msg=measure,
-            )
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_knn_batch_rejects_k_below_one(spark_engines, small_db, k):
+    db, _, _ = small_db
+    queries = sd.sample_queries(db, n=2, seed=22)
+    with pytest.raises(ValueError):
+        spark_engines["jaccard"].knn_batch(queries, k)
 
 
 def test_range_batch_against_duckdb_oracle(spark, spark_engines, small_db):

@@ -61,11 +61,6 @@ class TestTokensNormalization:
     def test_dedupes_sets(self):
         assert list(t([3, 1, 3, 2])) == [1, 2, 3]
 
-    def test_intersection_size_counts_distinct_tokens(self):
-        a = np.array([1, 1, 2])
-        b = np.array([1, 2, 2])
-        assert sim.intersection_size(a, b) == 2  # {1, 2}
-
 
 class TestGroupUpperBound:
     """Theorem 3.1: Sim(Q, Q ∩ GS) bounds Sim(Q, S) for any S in the group."""

@@ -1,5 +1,4 @@
 """Distributed baseline engines must agree with the local references."""
-import numpy as np
 import pytest
 
 from repro import synth_data as sd
@@ -24,23 +23,30 @@ def queries(db):
     return sd.sample_queries(db, n=6, seed=21)
 
 
+def _answer(out, qid):
+    """Query ``qid``'s ``(sid, sim)`` rows of a batch answer, in its order."""
+    got = out.loc[out["qid"] == qid]
+    return list(zip(got["sid"], got["sim"]))
+
+
 class TestSparkBrute:
     @pytest.mark.parametrize("delta", [0.8, 0.5])
     def test_range_matches_local(self, spark, db, data, queries, delta):
         out = SparkBrute(spark, data).range_batch(queries, delta)
         local = LocalBrute(db.sets)
         for qid, q in enumerate(queries):
-            got = sorted(out.loc[out["qid"] == qid, "sid"].tolist())
-            exp = sorted(i for i, _ in local.range(q, delta)[0])
-            assert got == exp
+            assert _answer(out, qid) == local.range(q, delta)[0]
 
     def test_knn_matches_local(self, spark, db, data, queries):
         out = SparkBrute(spark, data).knn_batch(queries, 5)
         local = LocalBrute(db.sets)
         for qid, q in enumerate(queries):
-            got = sorted(out.loc[out["qid"] == qid, "sim"].tolist())
-            exp = sorted(v for _, v in local.knn(q, 5)[0])
-            np.testing.assert_allclose(got, exp, atol=1e-12)
+            assert _answer(out, qid) == local.knn(q, 5)[0]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_knn_rejects_k_below_one(self, spark, data, queries, k):
+        with pytest.raises(ValueError):
+            SparkBrute(spark, data).knn_batch(queries, k)
 
 
 class TestSparkInvIdx:
@@ -53,14 +59,16 @@ class TestSparkInvIdx:
         out = engine.range_batch(queries, delta)
         local = LocalInvIdx(db.sets, db.n_tokens)
         for qid, q in enumerate(queries):
-            got = sorted(out.loc[out["qid"] == qid, "sid"].tolist())
-            exp = sorted(i for i, _ in local.range(q, delta)[0])
-            assert got == exp
+            assert _answer(out, qid) == local.range(q, delta)[0]
 
     def test_knn_delta_descent_matches_brute(self, db, engine, queries):
         out = engine.knn_batch(queries, 5, z=0.2)
+        local = LocalInvIdx(db.sets, db.n_tokens)
         brute = LocalBrute(db.sets)
         for qid, q in enumerate(queries):
-            got = sorted(out.loc[out["qid"] == qid, "sim"].tolist())[-5:]
-            exp = sorted(v for _, v in brute.knn(q, 5)[0])
-            np.testing.assert_allclose(got, exp, atol=1e-12)
+            assert _answer(out, qid) == local.knn(q, 5, z=0.2)[0] == brute.knn(q, 5)[0]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_knn_rejects_k_below_one(self, engine, queries, k):
+        with pytest.raises(ValueError):
+            engine.knn_batch(queries, k)
