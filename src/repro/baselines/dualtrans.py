@@ -78,6 +78,7 @@ class DualTransEngine:
     def range(self, q: np.ndarray, delta: float) -> Tuple[List[Tuple[int, float]], SearchStats]:
         st = SearchStats()
         qv = self._query_vec(q)
+        prepared = self.packed.prepare(q)
         sims, sids = [np.empty(0)], [np.empty(0, dtype=np.int64)]
         stack = [self.tree.root]
         while stack:
@@ -86,7 +87,7 @@ class DualTransEngine:
             if _pair_ub(qv, node.lo, node.hi) < delta:
                 continue
             if node.is_leaf:
-                got = self.packed.sims_subset(q, node.point_ids)
+                got = self.packed.sims_subset(prepared, node.point_ids)
                 keep = got >= delta
                 sims.append(got[keep])
                 sids.append(node.point_ids[keep])
@@ -102,22 +103,27 @@ class DualTransEngine:
         top = TopK(k)
         st = SearchStats()
         qv = self._query_vec(q)
-        # max-heap on node UB via negation; ties go to the earlier push
+        prepared = self.packed.prepare(q)
+        # max-heap on node UB via negation; ties go to the earlier push. A
+        # node whose bound ties the k-th similarity is skipped once it
+        # cannot hold a sid smaller than the k-th's.
         tick = count()
         pq: List[Tuple[float, int, RNode]] = [(-1.0, next(tick), self.tree.root)]
         while pq:
             neg_ub, _, node = heapq.heappop(pq)
             if top.dominates(-neg_ub):
                 break
+            if top.dominates(-neg_ub, node.min_sid):
+                continue
             st.index_elems += 1
             if node.is_leaf:
-                top.merge(self.packed.sims_subset(q, node.point_ids), node.point_ids)
+                top.merge(self.packed.sims_subset(prepared, node.point_ids), node.point_ids)
                 st.n_candidates += len(node.point_ids)
                 st.n_groups_verified += 1
             else:
                 for c in node.children:
                     ub = _pair_ub(qv, c.lo, c.hi)
-                    if not top.dominates(ub):
+                    if not top.dominates(ub, c.min_sid):
                         heapq.heappush(pq, (-ub, next(tick), c))
         return top.answer(st)
 

@@ -80,7 +80,7 @@ class LocalInvIdx:
     def range(self, q: np.ndarray, delta: float) -> Tuple[List[Tuple[int, float]], SearchStats]:
         st = SearchStats()
         ids = self._candidates(q, delta, st)
-        sims = self.packed.sims_subset(q, ids)
+        sims = self.packed.sims_subset(self.packed.prepare(q), ids)
         st.n_candidates = len(ids)
         keep = sims >= delta
         out = ranked(sims[keep], ids[keep])
@@ -93,12 +93,13 @@ class LocalInvIdx:
         top = TopK(k)
         st = SearchStats()
         seen = np.zeros(len(self.sets), dtype=bool)
+        prepared = self.packed.prepare(q)
         delta = 1.0
         while True:
             ids = self._candidates(q, delta, st)
             new = ids[~seen[ids]]
             seen[new] = True
-            top.merge(self.packed.sims_subset(q, new), new)
+            top.merge(self.packed.sims_subset(prepared, new), new)
             st.n_candidates += len(new)
             if (len(top.sims) >= k and top.sims[-1] >= delta) or delta <= 0.0:
                 break

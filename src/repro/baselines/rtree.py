@@ -24,6 +24,7 @@ class RNode:
     hi: np.ndarray
     children: List["RNode"] = field(default_factory=list)
     point_ids: Optional[np.ndarray] = None  # leaf payload
+    min_sid: int = 0  # the smallest point id in the subtree
 
     @property
     def is_leaf(self) -> bool:
@@ -42,7 +43,9 @@ class RTree:
         for s in range(0, n, fanout):
             pid = ids[s : s + fanout]
             pts = self.points[pid]
-            leaves.append(RNode(lo=pts.min(axis=0), hi=pts.max(axis=0), point_ids=pid))
+            leaves.append(
+                RNode(lo=pts.min(axis=0), hi=pts.max(axis=0), point_ids=pid, min_sid=int(pid.min()))
+            )
         self.n_nodes = len(leaves)
         level = leaves
         while len(level) > 1:
@@ -54,6 +57,7 @@ class RTree:
                         lo=np.min([c.lo for c in ch], axis=0),
                         hi=np.max([c.hi for c in ch], axis=0),
                         children=ch,
+                        min_sid=min(c.min_sid for c in ch),
                     )
                 )
             self.n_nodes += len(nxt)

@@ -95,7 +95,7 @@ def gpo(
             total += est * m * m
         else:
             for i, x in enumerate(members):
-                sims = packed.sims_subset(sets[x], members, measure)
+                sims = packed.sims_subset(packed.prepare(sets[x]), members, measure)
                 total += np.sum(1.0 - sims) - (1.0 - sims[i])
     return float(total)
 

@@ -13,8 +13,10 @@ groups out on disk (§7.6). ``ids[p]`` is the sid stored at position
 replaced by their dense ids into ``vocab``, the sorted tokens of all
 stored sets: set ``p`` is ``vocab[rows[offsets[p]:offsets[p + 1]]]``.
 
-Kernel: a query marks its tokens that occur in ``vocab`` in one boolean
-array over ``vocab``. Over a run of stored sets, the running count of
+Kernel: a query is prepared once (:meth:`PackedSets.prepare`): its
+sorted distinct tokens, and the tokens of them that occur in ``vocab``
+marked in one boolean array over ``vocab``. Every verify of that query
+reads the same mark. Over a run of stored sets, the running count of
 marked tokens in ``mark[rows]``, taken at the set boundaries, gives
 every ``|Q∩S|`` as a difference (0 for an empty set). The count at a
 boundary is the number of marked positions before it, one
@@ -25,11 +27,18 @@ measure follows from ``|Q∩S|``, ``|Q|`` and ``|S|`` through
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .similarity import sim_from_counts
+
+
+class PreparedQuery(NamedTuple):
+    """A query as every verify against one :class:`PackedSets` reads it."""
+
+    tokens: np.ndarray  # sorted and distinct
+    mark: np.ndarray  # bool over ``vocab``: the tokens of the query
 
 
 class PackedSets:
@@ -65,30 +74,26 @@ class PackedSets:
     def __len__(self) -> int:
         return len(self.lens)
 
-    def _counts(self, q: np.ndarray, toks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """``|Q∩S|`` for the sets whose dense tokens are
-        ``toks[bounds[i]:bounds[i + 1]]``; ``q`` sorted and distinct."""
+    def prepare(self, query: np.ndarray) -> PreparedQuery:
+        """``query``'s distinct tokens and their mark over ``vocab``."""
+        q = np.unique(query)
         mark = np.zeros(len(self.vocab), dtype=bool)
         if len(self.vocab):
             at = np.minimum(np.searchsorted(self.vocab, q), len(self.vocab) - 1)
             mark[at[self.vocab[at] == q]] = True
-        # marked tokens before each boundary: a running count, read off
-        # the marked positions without summing over every token
-        before = np.searchsorted(np.flatnonzero(mark[toks]), bounds)
-        return before[1:] - before[:-1]
+        return PreparedQuery(q, mark)
 
     def sims(self, query: np.ndarray, measure: str = "jaccard") -> np.ndarray:
         """Similarity of ``query`` to the set at every stored position."""
-        return self.sims_subset(query, slice(0, len(self)), measure)
+        return self.sims_subset(self.prepare(query), slice(0, len(self)), measure)
 
     def sims_subset(
-        self, query: np.ndarray, positions: slice | np.ndarray, measure: str = "jaccard"
+        self, query: PreparedQuery, positions: slice | np.ndarray, measure: str = "jaccard"
     ) -> np.ndarray:
-        """Similarity of ``query`` to the sets at ``positions``: a unit-step
-        ``slice`` of stored positions, read in place, or an array of them,
-        whose tokens are gathered first. Positions are sids when the sets
-        are stored in sid order."""
-        q = np.unique(query)
+        """Similarity of a prepared query to the sets at ``positions``: a
+        unit-step ``slice`` of stored positions, read in place, or an
+        array of them, whose tokens are gathered first. Positions are sids
+        when the sets are stored in sid order."""
         if isinstance(positions, slice):
             lo, hi, step = positions.indices(len(self))
             if step != 1:
@@ -102,4 +107,7 @@ class PackedSets:
             bounds = np.zeros(len(pos) + 1, dtype=np.int64)
             np.cumsum(lens, out=bounds[1:])
             toks = self.rows[np.repeat(self.offsets[pos] - bounds[:-1], lens) + np.arange(bounds[-1])]
-        return sim_from_counts(self._counts(q, toks, bounds), len(q), lens, measure)
+        # marked tokens before each boundary: a running count, read off
+        # the marked positions without summing over every token
+        before = np.searchsorted(np.flatnonzero(query.mark[toks]), bounds)
+        return sim_from_counts(before[1:] - before[:-1], len(query.tokens), lens, measure)

@@ -31,9 +31,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import pandas as pd
 
-from .packed import PackedSets
+from .packed import PackedSets, PreparedQuery
 from .similarity import sim_expr
-from .tgm import HTGM, TGM, candidate_groups
+from .tgm import HTGM, TGM, surviving_groups
 
 
 @dataclass
@@ -45,10 +45,15 @@ class SearchStats:
     index_elems: int = 0  # index elements touched (TGM cells / postings / R-nodes)
     n_probes: int = 0  # discrete index probes (posting lists, tree descents)
     n_results: int = 0
+    # LocalLES3 only: the candidates the TGM bound (Equation 2) alone
+    # would verify, without the size window; the paper's PE reads these
+    tgm_candidates: int = 0
 
-    def pruning_efficiency(self, n_db: int, k_or_res: int) -> float:
-        """Definition 2.3 with ``k_or_res`` = k (kNN) or |R| (range)."""
-        return (n_db - (self.n_candidates - k_or_res)) / n_db
+    def pruning_efficiency(self, n_db: int, k_or_res: int, *, tgm: bool = False) -> float:
+        """Definition 2.3 with ``k_or_res`` = k (kNN) or |R| (range), over
+        the sets verified, or with ``tgm`` over ``tgm_candidates``."""
+        cands = self.tgm_candidates if tgm else self.n_candidates
+        return (n_db - (cands - k_or_res)) / n_db
 
 
 @dataclass
@@ -65,6 +70,14 @@ class LocalLES3:
     so group ``g`` is the run ``gstart[g]:gstart[g + 1]`` of stored
     positions in the shared verify kernel (see core/packed.py), which
     every engine uses so that constant factors are comparable.
+
+    Each group also has a window of member sizes, the smallest and
+    largest distinct-token count among its members (a coarse group's
+    window spans its children's). Groups are pruned and ordered by the
+    TGM bound evaluated over that window, which is never above the TGM
+    bound (Equation 2) and never below a member's similarity
+    (:func:`.similarity.group_upper_bounds`). ``tgm_candidates`` in the
+    stats counts what Equation (2) alone would verify.
     """
 
     def __init__(
@@ -80,13 +93,39 @@ class LocalLES3:
         self.measure = measure
         self.levels, self.children = (htgm.tgms, htgm.children) if htgm else ([tgm], [])
         members = self.levels[-1].group_members
-        sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+        self.gsize = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
         self.gstart = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.gstart[1:])
+        np.cumsum(self.gsize, out=self.gstart[1:])
         order = np.fromiter(chain.from_iterable(members), dtype=np.int64, count=int(self.gstart[-1]))
         self.packed = PackedSets(sets, order)
+        # each finest group's smallest and largest member size ([0, 0]
+        # for an empty group), then each coarser level's from its children
+        self.smin = np.zeros(len(members), dtype=np.int64)
+        self.smax = np.zeros(len(members), dtype=np.int64)
+        full = self.gsize > 0
+        if full.any():
+            starts = self.gstart[:-1][full]
+            self.smin[full] = np.minimum.reduceat(self.packed.lens, starts)
+            self.smax[full] = np.maximum.reduceat(self.packed.lens, starts)
+        lo, hi = self.smin, self.smax
+        windows = [(lo, hi)]
+        for kids in reversed(self.children):
+            lo = np.array([lo[c].min() for c in kids])
+            hi = np.array([hi[c].max() for c in kids])
+            windows.append((lo, hi))
+        # stacked under the window [0, ∞), whose bound is Equation (2)
+        self.windows = [
+            (np.stack([np.zeros(len(lo)), lo]), np.stack([np.full(len(hi), np.inf), hi]))
+            for lo, hi in reversed(windows)
+        ]
 
-    def _verify(self, q: np.ndarray, g: int, st: SearchStats) -> Tuple[np.ndarray, np.ndarray]:
+    def _bounds(self, q: np.ndarray) -> List[np.ndarray]:
+        """Per level, coarse to fine, the bounds of every group from one
+        read of the level's match counts: row 0 is Equation (2), row 1
+        the size-windowed bound. ``q`` is sorted and distinct."""
+        return [tgm.upper_bounds(q, self.measure, w) for tgm, w in zip(self.levels, self.windows)]
+
+    def _verify(self, q: PreparedQuery, g: int, st: SearchStats) -> Tuple[np.ndarray, np.ndarray]:
         """Similarities and sids of group ``g``'s members; an empty group
         is not counted as verified."""
         lo, hi = int(self.gstart[g]), int(self.gstart[g + 1])
@@ -98,20 +137,24 @@ class LocalLES3:
 
     # -- range -------------------------------------------------------------
     def range(self, query: np.ndarray, delta: float) -> Tuple[List[Tuple[int, float]], SearchStats]:
-        """All sets with ``Sim(Q, S) >= delta`` (Definition 2.2)."""
+        """All sets with ``Sim(Q, S) >= delta`` (Definition 2.2). The
+        level walk prunes by Equation (2); a surviving finest group is
+        verified if its size-windowed bound also clears ``delta``."""
         st = SearchStats()
-        q = np.unique(query)
-        cand_groups, st.index_elems = candidate_groups(self.levels, self.children, q, delta, self.measure)
-        sizes = self.gstart[cand_groups + 1] - self.gstart[cand_groups]
-        st.n_candidates = int(sizes.sum())
-        st.n_groups_verified = int(np.count_nonzero(sizes))
+        prep = self.packed.prepare(query)
+        ubs = self._bounds(prep.tokens)
+        groups, st.index_elems = surviving_groups([u[0] for u in ubs], self.children, delta, len(prep.tokens))
+        st.tgm_candidates = int(self.gsize[groups].sum())
+        groups = groups[ubs[-1][1][groups] >= delta]
+        st.n_candidates = int(self.gsize[groups].sum())
+        st.n_groups_verified = int(np.count_nonzero(self.gsize[groups]))
         # groups are stored in label order, so each run of consecutive
         # candidate groups is one slice: its edges are where ``on`` flips
         on = np.zeros(len(self.gstart) + 1, dtype=np.int8)
-        on[cand_groups + 1] = 1
+        on[groups + 1] = 1
         sims, sids = [_NO_SIMS], [_NO_SIDS]
         for lo, hi in self.gstart[np.flatnonzero(np.diff(on))].reshape(-1, 2).tolist():
-            got = self.packed.sims_subset(q, slice(lo, hi), self.measure)
+            got = self.packed.sims_subset(prep, slice(lo, hi), self.measure)
             keep = got >= delta
             sims.append(got[keep])
             sids.append(self.packed.ids[lo:hi][keep])
@@ -125,34 +168,41 @@ class LocalLES3:
         levels (§3.1, §5.2).
 
         Groups of every level share one priority queue keyed by their
-        UB, ties going to the earlier push (for one level: the smaller
-        group). A popped finest-level group is verified; a popped coarser
-        group is expanded into its children. ``index_elems`` counts the
-        matrix cells the walk reads, ``|children| · |Q|`` per expansion,
-        so a coarse group the running k-th similarity dominates is never
-        expanded, which is where HTGM saves index accesses. The search
-        stops once the k-th similarity dominates the next bound. Ties at
-        the k-th similarity go to the smaller sids.
+        size-windowed bound, ties going to the earlier push (for one
+        level: the smaller group). A popped finest-level group is
+        verified; a popped coarser group is expanded into its children.
+        ``index_elems`` counts the matrix cells the walk reads,
+        ``|children| · |Q|`` per expansion, so a coarse group the running
+        k-th similarity dominates is never expanded, which is where HTGM
+        saves index accesses. The search stops once the k-th similarity
+        dominates the next bound. Ties at the k-th similarity go to the
+        smaller sids.
         """
         top = TopK(k)
         st = SearchStats()
-        q = np.unique(query)
-        ubs = [tgm.upper_bounds(q, self.measure).tolist() for tgm in self.levels]
-        st.index_elems = len(ubs[0]) * len(q)
+        prep = self.packed.prepare(query)
+        n_q = len(prep.tokens)
+        ubs = self._bounds(prep.tokens)
+        keys = [u[1].tolist() for u in ubs]
+        st.index_elems = len(keys[0]) * n_q
         tick = count()
-        pq = [(-ub, next(tick), 0, g) for g, ub in enumerate(ubs[0])]
-        heapq.heapify(pq)
-        while pq:
-            neg_ub, _, level, g = heapq.heappop(pq)
+        heap = [(-ub, next(tick), 0, g) for g, ub in enumerate(keys[0])]
+        heapq.heapify(heap)
+        while heap:
+            neg_ub, _, level, g = heapq.heappop(heap)
             if top.dominates(-neg_ub):
                 break
             if level == len(self.children):
-                top.merge(*self._verify(q, g, st))
+                top.merge(*self._verify(prep, g, st))
                 continue
             kids = self.children[level][g].tolist()
-            st.index_elems += len(kids) * len(q)
+            st.index_elems += len(kids) * n_q
             for c in kids:
-                heapq.heappush(pq, (-ubs[level + 1][c], next(tick), level + 1, c))
+                heapq.heappush(heap, (-keys[level + 1][c], next(tick), level + 1, c))
+        # Equation (2) alone verifies every group it does not place below
+        # the final k-th similarity (every group while fewer than k are held)
+        kth = top.sims[-1] if len(top.sims) == k else 0.0
+        st.tgm_candidates = int(self.gsize[ubs[-1][0] >= kth].sum())
         return top.answer(st)
 
 
@@ -183,10 +233,15 @@ class TopK:
         self.k = k
         self.sims, self.sids = _NO_SIMS, _NO_SIDS
 
-    def dominates(self, ub: float) -> bool:
-        """Whether k pairs are held and sets bounded by ``ub`` can hold
-        none better than the k-th, ties included."""
-        return len(self.sims) >= self.k and ub < self.sims[-1]
+    def dominates(self, ub: float, min_sid: int = -1) -> bool:
+        """Whether k pairs are held and sets bounded by ``ub``, none of
+        them with a sid below ``min_sid``, can hold none that ranks
+        before the k-th: a set tied with the k-th ranks before it only
+        with a smaller sid."""
+        if len(self.sims) < self.k:
+            return False
+        kth = self.sims[-1]
+        return ub < kth or (ub == kth and min_sid > self.sids[-1])
 
     def merge(self, sims: np.ndarray, sids: np.ndarray) -> None:
         """Fold in verified ``(sims, sids)``; a batch whose best

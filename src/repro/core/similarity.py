@@ -9,7 +9,9 @@ Applicability Property (Theorem 3.1):
   2. ``R' ⊂ R ⊆ Q  =>  Sim(Q, R) >= Sim(Q, R')``
 
 so ``Sim(Q, Q ∩ GS_g)`` upper-bounds the similarity between ``Q`` and
-every member of group ``g`` (Equation 2 generalized beyond Jaccard).
+every member of group ``g`` (Equation 2 generalized beyond Jaccard). A
+window of member sizes tightens that bound without giving up
+exactness (:func:`group_upper_bounds`).
 
 Each measure is written once, in :data:`_FORMULAS`, as a function of
 ``c = |Q∩S|``, ``q = |Q|`` and ``s = |S|``. The scalar functions, the
@@ -141,7 +143,7 @@ def sim_fn(measure: str) -> Callable[[np.ndarray, np.ndarray], float]:
 
 
 def group_upper_bounds(
-    counts: np.ndarray, q_size: int, measure: str = "jaccard"
+    counts: np.ndarray, q_size: int, measure: str = "jaccard", window=None
 ) -> np.ndarray:
     """``Sim(Q, R)`` with ``R = Q ∩ GS_g``, ``|R| = counts[g]``, ``|Q| = q_size``.
 
@@ -149,11 +151,22 @@ def group_upper_bounds(
     measures: ``R ⊆ Q`` gives ``|Q∩R| = |R|``, so the bound is the
     measure's formula at ``s = c``. It equals ``Sim(Q, S)`` exactly for a
     member ``S = R``.
+
+    ``window = (lo, hi)`` gives each group's smallest and largest member
+    size, broadcast against ``counts`` (a stack of windows gives a stack
+    of bounds). A member of size ``s`` shares at most ``min(c, s)``
+    tokens with Q, and ``Sim(min(c, s), q, s)`` rises with ``s`` up to
+    ``s = c`` and falls after it, so over the window it peaks at
+    ``s* = clip(c, lo, hi)``: the bound is ``Sim(min(c, s*), q, s*)``.
+    The window ``[0, ∞)`` gives Equation (2) itself, which a narrower
+    window never exceeds. The bound equals a member's ``Sim`` bit for
+    bit when that member has size ``s*`` and shares ``min(c, s*)`` tokens.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    c = np.asarray(counts, dtype=np.float64)
+    s = c if window is None else np.clip(c, *window)
     if q_size == 0:
-        return np.zeros_like(counts)
-    return sim_from_counts(counts, q_size, counts, measure)
+        return np.zeros_like(s)
+    return sim_from_counts(np.minimum(c, s), q_size, s, measure)
 
 
 def sim_expr(measure: str):

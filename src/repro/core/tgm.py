@@ -68,10 +68,13 @@ class TGM:
         rows = [r for r in map(self.row_of.get, np.unique(query).tolist()) if r is not None]
         return self.bits[rows].sum(axis=0)
 
-    def upper_bounds(self, query: np.ndarray, measure: str = "jaccard") -> np.ndarray:
-        """``UB(Q, G_g)`` for every group (Equation 2 generalized)."""
+    def upper_bounds(self, query: np.ndarray, measure: str = "jaccard", window=None) -> np.ndarray:
+        """``UB(Q, G_g)`` for every group (Equation 2 generalized), or
+        with ``window``, the bound over each group's member sizes
+        (:func:`.similarity.group_upper_bounds`), from one read of the
+        match counts."""
         q = np.unique(query)
-        return group_upper_bounds(self.match_counts(q), len(q), measure)
+        return group_upper_bounds(self.match_counts(q), len(q), measure, window)
 
     def insert(self, tokens: np.ndarray, sid: int, measure: str = "jaccard") -> int:
         """Insert a set (paper §6), returning its group.
@@ -112,9 +115,9 @@ class HTGM:
     ``levels`` must be coarse→fine label arrays over the same sets (e.g.
     ``L2PResult.levels`` picked at two or more depths). A group pruned at
     a coarse level removes all its fine-level children from
-    consideration; :meth:`candidate_groups` returns surviving fine
-    groups plus the number of matrix elements consulted (the
-    index-access cost measure of §7.7).
+    consideration; :func:`candidate_groups` over ``tgms`` and
+    ``children`` returns surviving fine groups plus the number of matrix
+    elements consulted (the index-access cost measure of §7.7).
     """
 
     def __init__(self, sets: Sequence[np.ndarray], levels: Sequence[np.ndarray]):
@@ -134,13 +137,6 @@ class HTGM:
     def fine(self) -> TGM:
         return self.tgms[-1]
 
-    def candidate_groups(
-        self, query: np.ndarray, threshold: float, measure: str = "jaccard"
-    ) -> tuple[np.ndarray, int]:
-        """Fine-level groups whose bound survives every level, plus the
-        count of matrix elements accessed along the way."""
-        return candidate_groups(self.tgms, self.children, query, threshold, measure)
-
     def index_bytes(self) -> int:
         return sum(t.index_bytes() for t in self.tgms)
 
@@ -153,19 +149,31 @@ def candidate_groups(
     measure: str = "jaccard",
 ) -> tuple[np.ndarray, int]:
     """The range filter over TGM levels, coarse to fine (one level is a
-    flat TGM): the last level's groups whose bound clears ``threshold``
-    at every level, plus ``|alive groups| · |Q|`` matrix elements
-    accessed per level. ``children[i][g]`` are the level-(i+1) groups
-    under level-i group ``g``."""
+    flat TGM): :func:`surviving_groups` under every level's Equation (2)
+    bounds."""
     q = np.unique(query)
-    alive = np.arange(tgms[0].n_groups)
+    return surviving_groups([t.upper_bounds(q, measure) for t in tgms], children, threshold, len(q))
+
+
+def surviving_groups(
+    bounds: Sequence[np.ndarray],
+    children: Sequence[Sequence[np.ndarray]],
+    threshold: float,
+    q_size: int,
+) -> tuple[np.ndarray, int]:
+    """The last level's groups whose bound clears ``threshold`` at every
+    level, given each level's bounds coarse to fine, plus
+    ``|alive groups| · |Q|`` matrix elements accessed per level.
+    ``children[i][g]`` are the level-(i+1) groups under level-i group
+    ``g``."""
+    alive = np.arange(len(bounds[0]))
     accessed = 0
-    for li, tgm in enumerate(tgms):
+    for li, ub in enumerate(bounds):
         if li > 0:
             kids = [children[li - 1][g] for g in alive]
             alive = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *kids]))
         if len(alive) == 0:
             return alive, accessed
-        accessed += len(alive) * len(q)
-        alive = alive[tgm.upper_bounds(q, measure)[alive] >= threshold]
+        accessed += len(alive) * q_size
+        alive = alive[ub[alive] >= threshold]
     return alive, accessed

@@ -5,7 +5,9 @@ access counts) plus measured CPU time, on the two large presets (fs,
 pmc — the paper's disk-resident datasets) scaled down. Expected shape:
 LES³ wins by 2–10×; DualTrans and InvIdx fall behind brute force over a
 wide range of k and δ because their random probes dominate, while LES³
-reads few contiguous groups.
+reads few contiguous groups. The model reads the accesses each engine
+makes as it runs: for LES³ the groups and sets its size-windowed bound
+verifies (``n_groups_verified``, ``n_candidates``).
 """
 from __future__ import annotations
 

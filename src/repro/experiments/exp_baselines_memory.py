@@ -8,7 +8,9 @@ kNN / large sets; DualTrans pays R-tree scan cost. Reproduced shape:
 LES³ beats Brute and DualTrans throughout; InvIdx stays fast at our
 1/100 scale because its postings are ~100× shorter than the paper's
 while LES³'s per-group candidate floor (~|D|·0.5% sets/group) does not
-shrink — the deviation is analyzed in EXPERIMENTS.md.
+shrink — the deviation is analyzed in EXPERIMENTS.md. ``ms`` and
+``mean_candidates`` are what each engine does as it runs: for LES³ the
+sets its size-windowed bound verifies (``n_candidates``).
 
 A Spark variant (``run_spark``) compares the distributed batch engines
 (SparkLES3 / SparkInvIdx / SparkBrute) end-to-end on one dataset —

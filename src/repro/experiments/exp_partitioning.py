@@ -6,7 +6,8 @@ PAR-G, PAR-C, PAR-D, and PAR-A; we report partitioning time, a resident
 resulting TGM. Expected shape: L2P gives the fastest search at a small
 fraction of partitioning time/space; PAR-G is the closest but pays a
 huge graph cost (its kNN graph is built with LES³'s help, as in the
-paper).
+paper). ``knn_pe`` reads ``tgm_candidates``, the candidates of the
+paper's TGM bound (Equation 2); ``knn_ms`` times the engine as it runs.
 """
 from __future__ import annotations
 

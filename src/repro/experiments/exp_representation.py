@@ -5,7 +5,8 @@ because PCA/MDS cannot scale), each representation is timed, fed to the
 same L2P cascade, and the resulting partitioning's query performance is
 measured for kNN (k=10) and range (δ=0.7). Expected shape: PTR embeds
 orders of magnitude faster than PCA/MDS at similar search time, and
-searches faster than Binary Encoding / PTR-half.
+searches faster than Binary Encoding / PTR-half. PE reads
+``tgm_candidates``, the candidates of the paper's TGM bound (Equation 2).
 """
 from __future__ import annotations
 

@@ -53,6 +53,21 @@ class TestExactness:
         assert st.n_results == 5
 
 
+    def test_dualtrans_knn_tie_in_a_later_leaf(self):
+        """Sets tied at the k-th similarity sit in many leaves, in no
+        particular sid order: a tied leaf may be skipped only when all its
+        sids are larger than the k-th's."""
+        q = np.array([1, 2, 3, 4])
+        rng = np.random.default_rng(4)
+        sets = [np.unique(rng.integers(0, 60, rng.integers(2, 9))) for _ in range(400)]
+        for sid in rng.permutation(400)[:40].tolist():  # J(Q, S) = 4/5
+            sets[sid] = np.append(q, rng.integers(5, 60))
+        eng = DualTransEngine(sets, 60, d=6, fanout=4)
+        brute = LocalBrute(sets)
+        for k in (1, 2, 5):
+            assert eng.knn(q, k)[0] == brute.knn(q, k)[0]
+
+
 class TestInvIdx:
     def test_prefix_filter_candidates_complete(self, db, engines):
         """Every true range result must appear among the prefix-filter
@@ -154,6 +169,16 @@ class TestRTree:
                     rec(c)
 
         rec(t.root)
+
+    def test_min_sid_is_smallest_in_subtree(self, tree):
+        _, t = tree
+
+        def rec(node):
+            smallest = node.point_ids.min() if node.is_leaf else min(rec(c) for c in node.children)
+            assert node.min_sid == smallest
+            return smallest
+
+        assert rec(t.root) == t.root.min_sid == 0
 
     def test_leaf_fanout_respected(self, tree):
         _, t = tree

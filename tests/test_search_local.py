@@ -9,8 +9,10 @@ from repro.baselines.brute import LocalBrute
 from repro.core.l2p import l2p_partition
 from repro.core.ptr import ptr
 from repro.core.search import LocalLES3, SearchStats
-from repro.core.similarity import cosine, group_upper_bounds, sim_fn, tokens
-from repro.core.tgm import HTGM, TGM
+from repro.core.similarity import (
+    MEASURES, cosine, group_upper_bounds, pair_sim_from_counts, sim_fn, tokens,
+)
+from repro.core.tgm import HTGM, TGM, candidate_groups
 from repro.synth_data import dataset, gen_sets, powerlaw_sim_db, sample_queries
 
 
@@ -74,16 +76,25 @@ class TestKnnExactness:
         assert len(got) == 20
 
 
+def size_window(sets, tgm):
+    """Each group's smallest and largest distinct-token member size, read
+    off the sets one at a time; ``(0, 0)`` for an empty group."""
+    sizes = [[len(np.unique(sets[s])) for s in m] for m in tgm.group_members]
+    return (np.array([min(z, default=0) for z in sizes]), np.array([max(z, default=0) for z in sizes]))
+
+
 class TestStatsAccounting:
     def test_candidates_equal_verified_group_sizes(self, built):
         db, part, tgm, eng, _ = built
         q = db.sets[0]
         _, st = eng.range(q, 0.5)
-        ubs = tgm.upper_bounds(q)
+        ubs = tgm.upper_bounds(q, window=size_window(db.sets, tgm))
         cand_groups = np.flatnonzero(ubs >= 0.5)
         nonempty = [g for g in cand_groups if tgm.group_members[int(g)]]
         assert st.n_groups_verified == len(nonempty)
         assert st.n_candidates == int(tgm.group_sizes[cand_groups].sum())
+        tgm_groups = np.flatnonzero(tgm.upper_bounds(q) >= 0.5)
+        assert st.tgm_candidates == int(tgm.group_sizes[tgm_groups].sum())
         assert st.index_elems == tgm.n_groups * len(np.unique(q))
 
     def test_pruning_efficiency_definition(self):
@@ -179,16 +190,47 @@ def _ref_verify(eng, tgm, g, q, st):
     return [(s, f(q, eng.sets[s])) for s in sids]
 
 
-def ref_range(eng, query, delta):
+def _ref_windows(eng):
+    """Per level, coarse to fine, each group's size window as scalars: a
+    finest group's from its members' distinct tokens, a coarse group's
+    spanning its children's."""
+    tgms = eng.htgm.tgms if eng.htgm else [eng.tgm]
+    lo, hi = size_window(eng.sets, tgms[-1])
+    wins = [list(zip(lo.tolist(), hi.tolist()))]
+    for kids in reversed(eng.htgm.children if eng.htgm else []):
+        finer = wins[0]
+        wins.insert(0, [(min(finer[c][0] for c in ks), max(finer[c][1] for c in ks)) for ks in kids])
+    return wins
+
+
+def _ref_ubs(eng, level, q, wins):
+    """Every group's bound at ``level``: Equation (2), or with the
+    windows ``wins`` the size-windowed bound, one scalar at a time."""
+    tgm = (eng.htgm.tgms if eng.htgm else [eng.tgm])[level]
+    counts = tgm.match_counts(q)
+    if wins is None:
+        return group_upper_bounds(counts, len(q), eng.measure)
+    out = []
+    for c, (lo, hi) in zip(counts.tolist(), wins[level]):
+        s = min(max(c, lo), hi)
+        out.append(pair_sim_from_counts(min(c, s), len(q), s, eng.measure))
+    return np.array(out)
+
+
+def ref_range(eng, query, delta, windowed=True):
     st = SearchStats()
     q = np.unique(query)
     if eng.htgm is not None:
-        cand_groups, st.index_elems = eng.htgm.candidate_groups(q, delta, eng.measure)
-        tgm = eng.htgm.fine
+        h = eng.htgm
+        cand_groups, st.index_elems = candidate_groups(h.tgms, h.children, q, delta, eng.measure)
+        tgm = h.fine
     else:
         tgm = eng.tgm
         st.index_elems = tgm.n_groups * len(q)
         cand_groups = np.flatnonzero(tgm.upper_bounds(q, eng.measure) >= delta)
+    if windowed:
+        ubs = _ref_ubs(eng, -1, q, _ref_windows(eng))
+        cand_groups = [g for g in cand_groups if ubs[g] >= delta]
     out = [(s, v) for g in cand_groups for s, v in _ref_verify(eng, tgm, int(g), q, st) if v >= delta]
     st.n_results = len(out)
     return sorted(out, key=lambda t: (-t[1], t[0])), st
@@ -202,21 +244,22 @@ def _ref_push(heap, pairs, k):
             heapq.heapreplace(heap, (v, s))
 
 
-def ref_knn(eng, query, k):
+def ref_knn(eng, query, k, windowed=True):
     st = SearchStats()
     q = np.unique(query)
     heap = []  # min-heap of (sim, sid)
+    wins = _ref_windows(eng) if windowed else None
     if eng.htgm is None:
-        ubs = eng.tgm.upper_bounds(q, eng.measure)
+        ubs = _ref_ubs(eng, 0, q, wins)
         st.index_elems = eng.tgm.n_groups * len(q)
         for g in np.argsort(-ubs, kind="stable"):
             if len(heap) >= k and ubs[g] < heap[0][0]:
                 break
             _ref_push(heap, _ref_verify(eng, eng.tgm, int(g), q, st), k)
     else:
-        h, m = eng.htgm, eng.measure
+        h = eng.htgm
         st.index_elems = h.tgms[0].n_groups * len(q)
-        ubs0 = group_upper_bounds(h.tgms[0].match_counts(q), len(q), m)
+        ubs0 = _ref_ubs(eng, 0, q, wins)
         pq = [(-float(ub), g, 0, g) for g, ub in enumerate(ubs0)]
         heapq.heapify(pq)
         counter, last = len(pq), len(h.tgms) - 1
@@ -229,9 +272,9 @@ def ref_knn(eng, query, k):
                 continue
             kids = h.children[level][g]
             st.index_elems += len(kids) * len(q)
-            counts = h.tgms[level + 1].match_counts(q)[kids]
-            for c, ub in zip(kids, group_upper_bounds(counts, len(q), m)):
-                heapq.heappush(pq, (-float(ub), counter, level + 1, int(c)))
+            ubs = _ref_ubs(eng, level + 1, q, wins)
+            for c in kids:
+                heapq.heappush(pq, (-float(ubs[c]), counter, level + 1, int(c)))
                 counter += 1
     res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
     st.n_results = len(res)
@@ -244,9 +287,11 @@ def _stats(st):
 
 class TestSameWorkAsHeapLoop:
     """The group-contiguous verify and the numpy top-k merge verify the
-    same groups as the per-candidate heap loop they replace, and answer
-    the same; where the k-th similarity is tied, the answer holds the
-    smallest sids of that similarity, as brute force ranks them."""
+    same groups as the per-candidate heap loop they replace, under the
+    same size-windowed bounds, and answer the same; where the k-th
+    similarity is tied, the answer holds the smallest sids of that
+    similarity, as brute force ranks them. ``tgm_candidates`` equals
+    what the loop verifies under Equation (2) alone."""
 
     @pytest.fixture(scope="class", params=["jaccard", "dice", "cosine"])
     def engines(self, request):
@@ -273,6 +318,7 @@ class TestSameWorkAsHeapLoop:
                 exp, ref_st = ref_range(eng, q, delta)
                 assert got == exp
                 assert _stats(st) == _stats(ref_st)
+                assert st.tgm_candidates == ref_range(eng, q, delta, windowed=False)[1].n_candidates
 
     @pytest.mark.parametrize("k", [1, 5, 20, 600])
     def test_knn(self, engines, k):
@@ -284,6 +330,7 @@ class TestSameWorkAsHeapLoop:
                 got, st = eng.knn(q, k)
                 exp, ref_st = ref_knn(eng, q, k)
                 assert _stats(st) == _stats(ref_st)
+                assert st.tgm_candidates == ref_knn(eng, q, k, windowed=False)[1].n_candidates
                 assert [v for _, v in got] == [v for _, v in exp]
                 kth = exp[-1][1]
                 assert [p for p in got if p[1] > kth] == [p for p in exp if p[1] > kth]
@@ -305,3 +352,98 @@ class TestSameWorkAsHeapLoop:
             got, st = eng.knn(q, 3)
             assert got == [(8, 1.0), (1, 0.75), (2, 0.75)]
             assert _stats(st) == _stats(ref_knn(eng, q, 3)[1])
+
+
+class TestSizeWindow:
+    """The size-windowed group bound: never below a member's similarity,
+    never above Equation (2), and exact at the window's edges."""
+
+    @staticmethod
+    def check_bounds(sets, tgm, eng, queries, measure):
+        assert (eng.smin.tolist(), eng.smax.tolist()) == tuple(w.tolist() for w in size_window(sets, tgm))
+        for q in queries:
+            prep = eng.packed.prepare(q)
+            eq2 = tgm.upper_bounds(q, measure)
+            ub = tgm.upper_bounds(q, measure, (eng.smin, eng.smax))
+            assert (ub <= eq2).all()
+            for g in range(tgm.n_groups):
+                lo, hi = eng.gstart[g], eng.gstart[g + 1]
+                assert (eng.packed.sims_subset(prep, slice(lo, hi), measure) <= ub[g]).all()
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_bound_between_member_sims_and_eq2(self, measure):
+        db = gen_sets(n_sets=300, n_tokens=120, avg_size=9, seed=4)
+        sets = db.sets + [np.empty(0, dtype=np.int64)]
+        groups = np.arange(len(sets)) % 7
+        tgm = TGM.from_partition(sets, groups)
+        queries = sample_queries(db, n=20, seed=5) + [np.array([0]), np.arange(60), np.empty(0, dtype=np.int64)]
+        self.check_bounds(sets, tgm, LocalLES3(sets, tgm, measure), queries, measure)
+
+    def test_cosine_members_of_equal_similarity_and_different_size(self):
+        """c²/s equal across sizes: with |Q| = 3, 1/sqrt(3·1) and
+        3/sqrt(3·9) are the same real number, and round one ulp apart."""
+        q = tokens([1, 2, 3])
+        sets = [tokens([1]), tokens([1, 2, 8, 9]), tokens([2]), tokens([1, 2, 3, 7, 8, 9, 10, 11, 12])]
+        tgm = TGM.from_partition(sets, np.zeros(len(sets), dtype=int))
+        eng = LocalLES3(sets, tgm, "cosine")
+        self.check_bounds(sets, tgm, eng, [q, tokens([1, 2]), tokens([1])], "cosine")
+        for delta in {cosine(q, s) for s in sets}:
+            assert eng.range(q, delta)[0] == LocalBrute(sets, "cosine").range(q, delta)[0]
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_range_at_a_member_on_the_window_edge(self, measure):
+        """δ equal to the bound, met by a member of size ``smin`` (Q∩GS
+        smaller than every member) or ``smax`` (Q∩GS larger)."""
+        f = sim_fn(measure)
+        cases = [
+            (tokens([1, 2, 3]), [tokens([1, 2, 3, 10, 11, 12]), tokens([3, *range(20, 28)])], 0),
+            (tokens(range(1, 7)), [tokens([1, 2]), tokens([3]), tokens([4, 5, 6])], 2),
+        ]
+        for q, members, edge in cases:
+            sets = [tokens([90, 91])] + members
+            groups = np.array([0] + [1] * len(members))
+            tgm = TGM.from_partition(sets, groups)
+            eng = LocalLES3(sets, tgm, measure)
+            delta = f(q, members[edge])
+            assert tgm.upper_bounds(q, measure, (eng.smin, eng.smax))[1] == delta
+            got, st = eng.range(q, delta)
+            assert (1 + edge, delta) in got
+            assert got == LocalBrute(sets, measure).range(q, delta)[0]
+            assert eng.knn(q, 1)[0] == LocalBrute(sets, measure).knn(q, 1)[0]
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_empty_groups_bound_zero(self, measure):
+        sets = [tokens([1, 2, 3]), tokens([7, 8]), tokens([2, 3, 9])]
+        tgm = TGM(5)
+        for sid, s in enumerate(sets):
+            tgm.insert(s, sid, measure)
+        empty = [g for g in range(5) if not tgm.group_members[g]]
+        assert empty
+        eng = LocalLES3(sets, tgm, measure)
+        for q in sets + [tokens([1, 2, 3, 7, 8, 9])]:
+            assert (tgm.upper_bounds(q, measure, (eng.smin, eng.smax))[empty] == 0).all()
+        self.check_bounds(sets, tgm, eng, sets, measure)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_edge_cases_match_brute(self, measure):
+        """Repeated tokens (sizes are distinct-token counts), an empty
+        query, k > |D| and δ = 0, on a flat and a two-level index."""
+        rng = np.random.default_rng(3)
+        sets = [rng.integers(0, 25, rng.integers(1, 9)) for _ in range(60)]
+        sets[5] = np.array([9, 9, 9, 9])
+        sets[6] = np.array([4, 1, 4, 1, 4])
+        sets[7] = np.empty(0, dtype=np.int64)
+        groups = np.arange(len(sets)) % 6
+        groups[[5, 6]] = 6  # a group of multisets only: raw lengths 4-5, sizes 1-2
+        tgm = TGM.from_partition(sets, groups)
+        flat = LocalLES3(sets, tgm, measure)
+        hier = LocalLES3(sets, tgm, measure, htgm=HTGM(sets, [groups % 2, groups]))
+        brute = LocalBrute(sets, measure)
+        self.check_bounds(sets, tgm, flat, sets[:10], measure)
+        queries = [np.array([9]), np.array([1, 4]), np.array([4, 4, 1]), sets[0], np.empty(0, dtype=np.int64)]
+        for eng in (flat, hier):
+            for q in queries:
+                for delta in (1.0, 0.5, 0.0):
+                    assert eng.range(q, delta)[0] == brute.range(q, delta)[0]
+                for k in (1, 3, len(sets), len(sets) + 5):
+                    assert eng.knn(q, k)[0] == brute.knn(q, k)[0]

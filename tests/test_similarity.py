@@ -128,7 +128,7 @@ class TestVectorizedKernels:
         exp = [f(q, c) for c in cands]
         assert list(packed.sims(q, measure)) == exp
         ids = np.array([20, 3, 0, 7])
-        assert list(packed.sims_subset(q, ids, measure)) == [exp[i] for i in ids]
+        assert list(packed.sims_subset(packed.prepare(q), ids, measure)) == [exp[i] for i in ids]
 
     def test_group_upper_bounds_vectorized_matches_scalar(self):
         counts = np.array([0, 1, 3, 5])
@@ -173,10 +173,11 @@ class TestPackedSetsLayout:
         q = raw[5]
         exp = self.expected(q, raw, order, measure)
         assert packed.sims(q, measure).tolist() == exp
+        prep = packed.prepare(q)
         for lo, hi in [(0, 25), (3, 9), (7, 7), (24, 25)]:
-            assert packed.sims_subset(q, slice(lo, hi), measure).tolist() == exp[lo:hi]
+            assert packed.sims_subset(prep, slice(lo, hi), measure).tolist() == exp[lo:hi]
         pos = np.array([24, 0, 13, 13])
-        assert packed.sims_subset(q, pos, measure).tolist() == [exp[p] for p in pos]
+        assert packed.sims_subset(prep, pos, measure).tolist() == [exp[p] for p in pos]
 
     @pytest.mark.parametrize("measure", sim.MEASURES)
     def test_query_tokens_outside_vocab_and_empty_query(self, raw, measure):
@@ -207,7 +208,8 @@ class TestPackedSetsLayout:
             lo, hi = eng.gstart[g], eng.gstart[g + 1]
             assert eng.packed.ids[lo:hi].tolist() == tgm.group_members[g]
         for g in empty:
-            assert eng.packed.sims_subset(sets[0], slice(eng.gstart[g], eng.gstart[g + 1]), measure).size == 0
+            prep = eng.packed.prepare(sets[0])
+            assert eng.packed.sims_subset(prep, slice(eng.gstart[g], eng.gstart[g + 1]), measure).size == 0
         f = sim.sim_fn(measure)
         for q in sets + [t([3, 9, 40])]:
             ranked = sorted(((s, f(q, x)) for s, x in enumerate(sets)), key=lambda p: (-p[1], p[0]))
