@@ -49,11 +49,9 @@ class SearchStats:
     # would verify, without the size window; the paper's PE reads these
     tgm_candidates: int = 0
 
-    def pruning_efficiency(self, n_db: int, k_or_res: int, *, tgm: bool = False) -> float:
-        """Definition 2.3 with ``k_or_res`` = k (kNN) or |R| (range), over
-        the sets verified, or with ``tgm`` over ``tgm_candidates``."""
-        cands = self.tgm_candidates if tgm else self.n_candidates
-        return (n_db - (cands - k_or_res)) / n_db
+    def pruning_efficiency(self, n_db: int, k_or_res: int) -> float:
+        """Definition 2.3 with ``k_or_res`` = k (kNN) or |R| (range)."""
+        return (n_db - (self.n_candidates - k_or_res)) / n_db
 
 
 @dataclass

@@ -65,7 +65,11 @@ class TGM:
     def match_counts(self, query: np.ndarray) -> np.ndarray:
         """Per-group ``|Q ∩ GS_g|`` — the Σ_t M[g,t] of Equation (2).
         Tokens outside the index count zero (§3.1)."""
-        rows = [r for r in map(self.row_of.get, np.unique(query).tolist()) if r is not None]
+        return self._counts(np.unique(query).tolist())
+
+    def _counts(self, distinct: List[int]) -> np.ndarray:
+        """:meth:`match_counts` of tokens already distinct."""
+        rows = [r for r in map(self.row_of.get, distinct) if r is not None]
         return self.bits[rows].sum(axis=0)
 
     def upper_bounds(self, query: np.ndarray, measure: str = "jaccard", window=None) -> np.ndarray:
@@ -73,8 +77,8 @@ class TGM:
         with ``window``, the bound over each group's member sizes
         (:func:`.similarity.group_upper_bounds`), from one read of the
         match counts."""
-        q = np.unique(query)
-        return group_upper_bounds(self.match_counts(q), len(q), measure, window)
+        q = np.unique(query).tolist()
+        return group_upper_bounds(self._counts(q), len(q), measure, window)
 
     def insert(self, tokens: np.ndarray, sid: int, measure: str = "jaccard") -> int:
         """Insert a set (paper §6), returning its group.
@@ -89,7 +93,7 @@ class TGM:
         toks = np.unique(tokens).tolist()
         known = [t for t in toks if t in self.row_of]
         if known:
-            ubs = group_upper_bounds(self.match_counts(known), len(known), measure)
+            ubs = group_upper_bounds(self._counts(known), len(known), measure)
             tied = np.flatnonzero(ubs == ubs.max())
         else:
             tied = np.arange(self.n_groups)
@@ -115,7 +119,7 @@ class HTGM:
     ``levels`` must be coarse→fine label arrays over the same sets (e.g.
     ``L2PResult.levels`` picked at two or more depths). A group pruned at
     a coarse level removes all its fine-level children from
-    consideration; :func:`candidate_groups` over ``tgms`` and
+    consideration; :func:`surviving_groups` over the levels' bounds and
     ``children`` returns surviving fine groups plus the number of matrix
     elements consulted (the index-access cost measure of §7.7).
     """
@@ -141,28 +145,15 @@ class HTGM:
         return sum(t.index_bytes() for t in self.tgms)
 
 
-def candidate_groups(
-    tgms: Sequence[TGM],
-    children: Sequence[Sequence[np.ndarray]],
-    query: np.ndarray,
-    threshold: float,
-    measure: str = "jaccard",
-) -> tuple[np.ndarray, int]:
-    """The range filter over TGM levels, coarse to fine (one level is a
-    flat TGM): :func:`surviving_groups` under every level's Equation (2)
-    bounds."""
-    q = np.unique(query)
-    return surviving_groups([t.upper_bounds(q, measure) for t in tgms], children, threshold, len(q))
-
-
 def surviving_groups(
     bounds: Sequence[np.ndarray],
     children: Sequence[Sequence[np.ndarray]],
     threshold: float,
     q_size: int,
 ) -> tuple[np.ndarray, int]:
-    """The last level's groups whose bound clears ``threshold`` at every
-    level, given each level's bounds coarse to fine, plus
+    """The range filter over TGM levels (one level is a flat TGM): the
+    last level's groups whose bound clears ``threshold`` at every level,
+    given each level's bounds coarse to fine, plus
     ``|alive groups| · |Q|`` matrix elements accessed per level.
     ``children[i][g]`` are the level-(i+1) groups under level-i group
     ``g``."""

@@ -106,9 +106,7 @@ def timed_queries(
 def mean_pe(stats: List[SearchStats], n_db: int, k_or_res: List[int]) -> float:
     """The paper's PE (Definition 2.3) of LES³ queries, over the
     candidates of its TGM bound (``tgm_candidates``)."""
-    return float(
-        np.mean([s.pruning_efficiency(n_db, r, tgm=True) for s, r in zip(stats, k_or_res)])
-    )
+    return float(np.mean([(n_db - (s.tgm_candidates - r)) / n_db for s, r in zip(stats, k_or_res)]))
 
 
 def mean_candidates(stats: List[SearchStats]) -> float:

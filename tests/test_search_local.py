@@ -12,7 +12,7 @@ from repro.core.search import LocalLES3, SearchStats
 from repro.core.similarity import (
     MEASURES, cosine, group_upper_bounds, pair_sim_from_counts, sim_fn, tokens,
 )
-from repro.core.tgm import HTGM, TGM, candidate_groups
+from repro.core.tgm import HTGM, TGM, surviving_groups
 from repro.synth_data import dataset, gen_sets, powerlaw_sim_db, sample_queries
 
 
@@ -222,7 +222,8 @@ def ref_range(eng, query, delta, windowed=True):
     q = np.unique(query)
     if eng.htgm is not None:
         h = eng.htgm
-        cand_groups, st.index_elems = candidate_groups(h.tgms, h.children, q, delta, eng.measure)
+        ubs = [t.upper_bounds(q, eng.measure) for t in h.tgms]
+        cand_groups, st.index_elems = surviving_groups(ubs, h.children, delta, len(q))
         tgm = h.fine
     else:
         tgm = eng.tgm
@@ -380,15 +381,38 @@ class TestSizeWindow:
         self.check_bounds(sets, tgm, LocalLES3(sets, tgm, measure), queries, measure)
 
     def test_cosine_members_of_equal_similarity_and_different_size(self):
-        """c²/s equal across sizes: with |Q| = 3, 1/sqrt(3·1) and
-        3/sqrt(3·9) are the same real number, and round one ulp apart."""
+        """c²/s equal across sizes: with |Q| = 3, 1/sqrt(3·1), 2/sqrt(3·4)
+        and 3/sqrt(3·9) are the same real number, and the last rounds one
+        ulp below the others. Each sits alone at its group's bound, two
+        of them with Q∩GS below ``smin``, so the bound is the
+        ``smin`` member's similarity, and must equal its kernel ``Sim``
+        bit for bit for range at that δ to keep it."""
         q = tokens([1, 2, 3])
-        sets = [tokens([1]), tokens([1, 2, 8, 9]), tokens([2]), tokens([1, 2, 3, 7, 8, 9, 10, 11, 12])]
-        tgm = TGM.from_partition(sets, np.zeros(len(sets), dtype=int))
-        eng = LocalLES3(sets, tgm, "cosine")
-        self.check_bounds(sets, tgm, eng, [q, tokens([1, 2]), tokens([1])], "cosine")
-        for delta in {cosine(q, s) for s in sets}:
-            assert eng.range(q, delta)[0] == LocalBrute(sets, "cosine").range(q, delta)[0]
+        sets = [
+            tokens([1]), tokens([2]),  # group 0: c = 2 above smax = 1
+            tokens([1, 2, 8, 9]), tokens([2, *range(20, 30)]),  # group 1: c = 2 below smin = 4
+            tokens([1, 2, 3, *range(7, 13)]), tokens([3, *range(30, 42)]),  # group 2: c = 3 below smin = 9
+        ]
+        groups = np.array([0, 0, 1, 1, 2, 2])
+        tgm = TGM.from_partition(sets, groups)
+        flat = LocalLES3(sets, tgm, "cosine")
+        hier = LocalLES3(sets, tgm, "cosine", htgm=HTGM(sets, [groups // 2, groups]))
+        tied = [0, 2, 4]  # the smin member of each group
+        sims = [cosine(q, sets[s]) for s in tied]
+        assert sims[0] == sims[1] > sims[2]
+        ub = tgm.upper_bounds(q, "cosine", (flat.smin, flat.smax))
+        kernel = flat.packed.sims_subset(flat.packed.prepare(q), slice(0, len(sets)), "cosine")
+        by_sid = dict(zip(flat.packed.ids.tolist(), kernel.tolist()))
+        assert ub.tolist() == [by_sid[s] for s in tied] == sims
+        assert (ub[1:] < tgm.upper_bounds(q, "cosine")[1:]).all()
+        self.check_bounds(sets, tgm, flat, [q, tokens([1, 2]), tokens([1])], "cosine")
+        brute = LocalBrute(sets, "cosine")
+        for eng in (flat, hier):
+            for delta in sorted(set(sims)):
+                assert eng.range(q, delta)[0] == brute.range(q, delta)[0]
+            for k in range(1, len(sets) + 1):
+                assert eng.knn(q, k)[0] == brute.knn(q, k)[0]
+        assert [s for s, _ in flat.range(q, sims[2])[0]] == [0, 1, 2, 4]
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_range_at_a_member_on_the_window_edge(self, measure):

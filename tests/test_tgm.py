@@ -5,7 +5,7 @@ import pytest
 from repro.core.gpo import group_token_union
 from repro.core.search import LocalLES3
 from repro.core.similarity import jaccard
-from repro.core.tgm import HTGM, TGM, candidate_groups
+from repro.core.tgm import HTGM, TGM, surviving_groups
 from repro.synth_data import gen_sets
 
 # Figure 1: T = {A,B,C,D}; G0 = sets with A-ish tokens, G1 without A
@@ -191,7 +191,8 @@ class TestHTGM:
             for thr in (0.3, 0.6, 0.9):
                 flat_ubs = h.fine.upper_bounds(q)
                 flat_keep = set(np.flatnonzero(flat_ubs >= thr).tolist())
-                hier_keep, accessed = candidate_groups(h.tgms, h.children, q, thr)
+                ubs = [t.upper_bounds(q) for t in h.tgms]
+                hier_keep, accessed = surviving_groups(ubs, h.children, thr, len(np.unique(q)))
                 assert flat_keep == set(hier_keep.tolist())
                 assert accessed > 0
 
