@@ -1,21 +1,19 @@
 """Brute-force set similarity search (paper §7.6's completeness baseline).
 
-Local variant scans every set; the Spark variant broadcasts the query
-batch against the full database — one sequential pass, which is exactly
-why the paper finds brute force competitive at low thresholds / large k
-in the disk-based setting (a single contiguous scan beats many random
-index probes).
+:class:`LocalBrute` scans every set — one sequential pass, which is
+exactly why the paper finds brute force competitive at low thresholds /
+large k in the disk-based setting (a single contiguous scan beats many
+random index probes). The Spark scan, ``SparkBrute``, lives in
+:mod:`repro.spark_backend`.
 """
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, TopK, answer, check_k, query_frame, ranked
-from ..core.similarity import sim_expr
+from ..core.search import SearchStats, TopK, ranked
 
 
 class LocalBrute:
@@ -41,29 +39,3 @@ class LocalBrute:
         top = TopK(k)
         top.merge(self._all_sims(q), np.arange(len(self.sets)))
         return top.answer(SearchStats(n_candidates=len(self.sets), n_groups_verified=1))
-
-
-from pyspark.sql import DataFrame, SparkSession  # noqa: E402
-from pyspark.sql import functions as F  # noqa: E402
-
-
-class SparkBrute:
-    """Full-scan verification of the whole database per query batch
-    (Jaccard only)."""
-
-    def __init__(self, spark: SparkSession, data: DataFrame):
-        self.spark = spark
-        self.data = data  # (sid, tokens [, gid])
-
-    def _scored(self, queries: Sequence[np.ndarray]) -> DataFrame:
-        qdf = query_frame(self.spark, queries)
-        return self.data.crossJoin(F.broadcast(qdf)).select(
-            "qid", "sid", sim_expr("jaccard").alias("sim")
-        )
-
-    def range_batch(self, queries: Sequence[np.ndarray], delta: float) -> pd.DataFrame:
-        return answer(self._scored(queries), delta=delta)
-
-    def knn_batch(self, queries: Sequence[np.ndarray], k: int) -> pd.DataFrame:
-        check_k(k)
-        return answer(self._scored(queries), k=k)

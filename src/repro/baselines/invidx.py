@@ -12,21 +12,18 @@ Standard prefix-filter search over a full token inverted index:
   verify candidates, and lower δ by ``z`` until the running k-th
   similarity reaches δ, which certifies exactness.
 
-The Spark variant generates candidates with a distributed token join
-(exploded query prefixes against the postings DataFrame) and verifies
-with the shared built-in Jaccard expression; it is Jaccard-only.
+At ``δ <= 0`` every set qualifies, sharing a token with Q or not, so
+range verifies them all. The Spark variant, ``SparkInvIdx``, lives in
+:mod:`repro.spark_backend`.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, TopK, answer, check_k, query_frame, ranked
-from ..core.similarity import sim_expr
-from .brute import SparkBrute
+from ..core.search import SearchStats, TopK, ranked
 
 
 def rarest_first(freq: np.ndarray) -> np.ndarray:
@@ -79,7 +76,7 @@ class LocalInvIdx:
 
     def range(self, q: np.ndarray, delta: float) -> Tuple[List[Tuple[int, float]], SearchStats]:
         st = SearchStats()
-        ids = self._candidates(q, delta, st)
+        ids = self._candidates(q, delta, st) if delta > 0 else np.arange(len(self.sets))
         sims = self.packed.sims_subset(self.packed.prepare(q), ids)
         st.n_candidates = len(ids)
         keep = sims >= delta
@@ -115,89 +112,3 @@ class LocalInvIdx:
     def index_bytes(self) -> int:
         """Postings entries at 8 bytes each plus the per-set size table."""
         return 8 * sum(len(p) for p in self.postings.values()) + 8 * len(self.sets)
-
-
-from pyspark.sql import DataFrame, SparkSession  # noqa: E402
-from pyspark.sql import functions as F  # noqa: E402
-
-
-class SparkInvIdx:
-    """Distributed prefix-filter search over a postings DataFrame.
-
-    Jaccard only: the prefix and size filters are Jaccard's."""
-
-    def __init__(self, spark: SparkSession, data: DataFrame, n_tokens: int):
-        self.spark = spark
-        self.data = data.select("sid", "tokens")
-        freq_pdf = (
-            self.data.select(F.explode("tokens").alias("token"))
-            .groupBy("token")
-            .count()
-            .toPandas()
-        )
-        freq = np.zeros(n_tokens, dtype=np.int64)
-        freq[freq_pdf["token"].to_numpy()] = freq_pdf["count"].to_numpy()
-        self.rank = rarest_first(freq)
-        self.postings = (
-            self.data.select(
-                "sid", F.size("tokens").alias("sz"), F.explode("tokens").alias("token")
-            )
-        ).cache()
-        self.postings.count()
-
-    def _prefix_df(self, queries: Sequence[np.ndarray], delta: float) -> DataFrame:
-        prefixes = [prefix(q, self.rank, delta) for q in queries]
-        lens = [len(p) for p in prefixes]
-        pdf = pd.DataFrame({
-            "qid": np.repeat(np.arange(len(queries)), lens),
-            "token": np.concatenate([np.empty(0, dtype=np.int64), *prefixes]),
-            "qsz": np.repeat([len(np.unique(q)) for q in queries], lens),
-        })
-        return self.spark.createDataFrame(pdf, schema="qid bigint, token bigint, qsz bigint")
-
-    def range_batch(self, queries: Sequence[np.ndarray], delta: float) -> pd.DataFrame:
-        pref = self._prefix_df(queries, delta)
-        cands = (
-            self.postings.join(F.broadcast(pref), "token")
-            .where(
-                (F.col("sz") >= delta * F.col("qsz"))
-                & (F.col("sz") <= F.col("qsz") / delta)
-            )
-            .select("qid", "sid")
-            .distinct()
-        )
-        scored = (
-            cands.join(self.data, "sid")
-            .join(F.broadcast(query_frame(self.spark, queries)), "qid")
-            .select("qid", "sid", sim_expr("jaccard").alias("sim"))
-        )
-        return answer(scored, delta=delta)
-
-    def knn_batch(
-        self, queries: Sequence[np.ndarray], k: int, *, z: float = 0.1
-    ) -> pd.DataFrame:
-        """δ-descent over the whole batch. A range answer at δ holds every
-        set with ``Sim >= δ``, so a query with at least k rows there is
-        answered by its first k; the others go on to ``δ - z``, and at
-        δ <= 0 to a full scan."""
-        check_k(k)
-        remaining = np.arange(len(queries))
-        answers = []
-        delta = 1.0
-        while len(remaining):
-            sub = [queries[i] for i in remaining]
-            if delta > 0:
-                out = self.range_batch(sub, max(delta, 1e-9))
-            else:
-                out = SparkBrute(self.spark, self.data).range_batch(sub, 0.0)
-            sub_qid = out["qid"].to_numpy(dtype=np.int64)
-            done = (np.bincount(sub_qid, minlength=len(sub)) >= k) | (delta <= 0.0)
-            out = out[done[sub_qid]].groupby("qid").head(k)
-            answers.append(out.assign(qid=remaining[out["qid"].to_numpy(dtype=np.int64)]))
-            remaining = remaining[~done]
-            delta = max(0.0, delta - z) if delta > 0 else -1.0
-        return (
-            pd.concat(answers, ignore_index=True)
-            .sort_values(["qid", "sim", "sid"], ascending=[True, False, True])
-            .reset_index(drop=True)
-        )

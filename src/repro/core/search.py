@@ -1,38 +1,24 @@
 """LES³ query processing (paper §3.1, §6): range and kNN search over TGM.
 
-Two engines:
+:class:`LocalLES3` is driver-resident filter-and-verify with exact
+bookkeeping (candidates verified, similarity computations, matrix
+elements accessed). It serves the latency micro-benchmarks, the HTGM
+cost experiment (§7.7) and the disk I/O model (§7.6) — the role the
+paper's single-node C++ engine plays. :func:`ranked` and :class:`TopK`
+give every local engine its one answer order, ``(-sim, sid)``.
 
-- :class:`LocalLES3` — driver-resident filter-and-verify with exact
-  bookkeeping (candidates verified, similarity computations, matrix
-  elements accessed). Used for latency micro-benchmarks, the HTGM cost
-  experiment (§7.7), and the disk I/O model (§7.6) — the same role the
-  paper's single-node C++ engine plays.
-- :class:`SparkLES3` — the distributed dataflow: the database lives in a
-  DataFrame ``(sid, tokens, gid)`` partitioned by group; per-query
-  candidate group lists (computed from the broadcastable TGM) are
-  broadcast-joined against the data and verified by a built-in array
-  expression (:func:`.similarity.sim_expr`). kNN is answered exactly in
-  two passes: pass 1 verifies each query's best groups to get a
-  k-th-similarity lower bound, pass 2 verifies every group whose UB
-  clears that bound.
-
-The Spark engines (this one and the Spark baselines) filter, rank and
-collect their scored ``(qid, sid, sim)`` rows through :func:`answer`,
-except this engine's kNN passes, which are collected as they are and
-ranked on the driver.
+``SparkLES3`` lives in :mod:`repro.spark_backend` with all pyspark code.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import pandas as pd
 
 from .packed import PackedSets, PreparedQuery
-from .similarity import sim_expr
 from .tgm import HTGM, TGM, surviving_groups
 
 
@@ -52,11 +38,6 @@ class SearchStats:
     def pruning_efficiency(self, n_db: int, k_or_res: int) -> float:
         """Definition 2.3 with ``k_or_res`` = k (kNN) or |R| (range)."""
         return (n_db - (self.n_candidates - k_or_res)) / n_db
-
-
-@dataclass
-class BatchStats:
-    per_query: List[SearchStats] = field(default_factory=list)
 
 
 class LocalLES3:
@@ -256,156 +237,11 @@ class TopK:
         return list(zip(self.sids.tolist(), self.sims.tolist())), st
 
 
-# ---------------------------------------------------------------------------
-# Spark engine
-# ---------------------------------------------------------------------------
-from pyspark.sql import DataFrame, SparkSession  # noqa: E402
-from pyspark.sql import functions as F  # noqa: E402
-from pyspark.sql import types as T  # noqa: E402
-from pyspark.sql.window import Window  # noqa: E402
+def __getattr__(name: str):
+    """Lazy re-exports from :mod:`repro.spark_backend` for the
+    benchmark, which imports these two names from here."""
+    if name in ("SparkLES3", "attach_groups"):
+        from .. import spark_backend
 
-
-def attach_groups(
-    spark: SparkSession, df: DataFrame, groups: np.ndarray
-) -> DataFrame:
-    """Join group labels ``groups[sid]`` onto ``(sid, tokens)`` and
-    repartition by group — the physical layout LES³ relies on (groups
-    are verified together; on disk they are stored contiguously). There are
-    as many partitions as groups, not the session's shuffle-partition
-    count, so a small index does not schedule mostly empty tasks."""
-    gpdf = pd.DataFrame(
-        {"sid": np.arange(len(groups), dtype=np.int64), "gid": groups.astype(np.int64)}
-    )
-    gdf = spark.createDataFrame(gpdf)
-    return df.join(gdf, "sid").repartition(max(1, len(np.unique(groups))), "gid")
-
-
-def query_frame(
-    spark: SparkSession,
-    queries: Sequence[np.ndarray],
-    groups: Sequence[np.ndarray] | None = None,
-) -> DataFrame:
-    """The query batch as ``(qid, q_tokens)``, each query's distinct
-    tokens, or with ``groups[qid]`` given as ``(qid, gid, q_tokens)``,
-    one row per candidate group of each query."""
-    toks = [np.unique(q).tolist() for q in queries]
-    cols = {"qid": np.arange(len(toks), dtype=np.int64)}
-    if groups is not None:
-        cols = {
-            "qid": np.repeat(cols["qid"], [len(g) for g in groups]),
-            "gid": np.concatenate([_NO_SIDS, *groups]).astype(np.int64),
-        }
-    pdf = pd.DataFrame({**cols, "q_tokens": [toks[i] for i in cols["qid"]]})
-    fields = [T.StructField(c, T.LongType(), False) for c in cols]
-    schema = T.StructType(fields + [T.StructField("q_tokens", T.ArrayType(T.LongType()), False)])
-    return spark.createDataFrame(pdf, schema=schema)
-
-
-def answer(scored: DataFrame, *, delta: float | None = None, k: int | None = None) -> pd.DataFrame:
-    """The one answer stage of every Spark engine: from a scored
-    ``(qid, sid, sim)`` frame keep ``sim >= delta`` (range) or each
-    query's first k rows in ``(-sim, sid)`` order (kNN), and collect
-    them ordered by ``(qid, -sim, sid)``."""
-    if delta is not None:
-        scored = scored.where(F.col("sim") >= delta)
-    if k is not None:
-        w = Window.partitionBy("qid").orderBy(F.desc("sim"), "sid")
-        scored = scored.withColumn("rn", F.row_number().over(w)).where(F.col("rn") <= k).drop("rn")
-    return scored.orderBy("qid", F.desc("sim"), "sid").toPandas()
-
-
-class SparkLES3:
-    """Distributed LES³: TGM-driven candidate groups broadcast-joined
-    against the group-partitioned database, verified with
-    :func:`.similarity.sim_expr` under any of the three measures.
-
-    A batch is planned on the driver as one query × group matrix of
-    upper bounds; a boolean mask over it says which groups each query
-    verifies."""
-
-    def __init__(
-        self,
-        spark: SparkSession,
-        data: DataFrame,  # (sid, tokens, gid) — gid must match tgm group ids
-        tgm: TGM,
-        measure: str = "jaccard",
-    ):
-        self.spark = spark
-        self.data = data
-        self.tgm = tgm
-        self.measure = measure
-
-    def _bounds(self, queries: Sequence[np.ndarray]) -> np.ndarray:
-        """``ubs[qid, g]``: the TGM upper bound of every group per query."""
-        ubs = [self.tgm.upper_bounds(q, self.measure) for q in queries]
-        return np.array(ubs, dtype=np.float64).reshape(len(queries), self.tgm.n_groups)
-
-    def _scored(self, queries: Sequence[np.ndarray], mask: np.ndarray) -> DataFrame:
-        """``(qid, sid, sim)`` of every member of the groups in ``mask``."""
-        qdf = query_frame(self.spark, queries, [np.flatnonzero(m) for m in mask])
-        joined = self.data.join(F.broadcast(qdf), "gid")
-        return joined.select("qid", "sid", sim_expr(self.measure).alias("sim"))
-
-    def _stats(self, queries: Sequence[np.ndarray], mask: np.ndarray, out: pd.DataFrame) -> BatchStats:
-        """Each query's ``SearchStats`` from the groups it verified and its answer rows."""
-        n_candidates = mask @ self.tgm.group_sizes
-        n_groups = mask.sum(axis=1)
-        n_results = np.bincount(out["qid"].to_numpy(dtype=np.int64), minlength=len(queries))
-        return BatchStats([
-            SearchStats(
-                n_candidates=int(n_candidates[qid]),
-                n_groups_verified=int(n_groups[qid]),
-                index_elems=self.tgm.n_groups * len(np.unique(q)),
-                n_results=int(n_results[qid]),
-            )
-            for qid, q in enumerate(queries)
-        ])
-
-    # -- range -------------------------------------------------------------
-    def range_batch(
-        self, queries: Sequence[np.ndarray], delta: float
-    ) -> Tuple[pd.DataFrame, BatchStats]:
-        """One Spark job answers the whole query batch exactly: every
-        group with ``UB >= delta`` is verified."""
-        mask = self._bounds(queries) >= delta
-        out = pd.DataFrame(columns=["qid", "sid", "sim"])
-        if mask.any():
-            out = answer(self._scored(queries, mask), delta=float(delta))
-        return out, self._stats(queries, mask, out)
-
-    # -- kNN ---------------------------------------------------------------
-    def knn_batch(
-        self, queries: Sequence[np.ndarray], k: int
-    ) -> Tuple[pd.DataFrame, BatchStats]:
-        """Exact batched kNN in two verification passes.
-
-        Pass 1 verifies, per query, the UB-best groups that jointly hold
-        at least k sets, establishing a lower bound t_q on the k-th
-        similarity. Pass 2 verifies every remaining group with
-        ``UB >= t_q``; anything outside has ``Sim <= UB < t_q`` and
-        cannot enter the answer, so the union of both passes is exact.
-        Both passes collect their scored rows as they are; the top k are
-        taken on the driver.
-        """
-        check_k(k)
-        ubs = self._bounds(queries)
-        order = np.argsort(-ubs, axis=1, kind="stable")
-        held = np.cumsum(self.tgm.group_sizes[order], axis=1)
-        # seed groups: UB-best first, up to the first whose running size reaches k
-        need = (held < k).sum(axis=1) + 1
-        seed = np.zeros_like(ubs, dtype=bool)
-        np.put_along_axis(seed, order, np.arange(ubs.shape[1]) < need[:, None], axis=1)
-        rows = self._scored(queries, seed).toPandas().sort_values(["qid", "sim"], ascending=[True, False])
-        kth = rows.groupby("qid").nth(k - 1)
-        t = np.zeros(len(queries))  # 0 where pass 1 found fewer than k rows
-        t[kth["qid"].to_numpy(dtype=np.int64)] = kth["sim"].to_numpy()
-        rest = (ubs >= t[:, None]) & ~seed
-        if rest.any():
-            rows = pd.concat([rows, self._scored(queries, rest).toPandas()], ignore_index=True)
-        out = (
-            rows.sort_values(["qid", "sim", "sid"], ascending=[True, False, True])
-            .groupby("qid")
-            .head(k)
-            .reset_index(drop=True)
-        )
-        return out, self._stats(queries, seed | rest, out)
+        return getattr(spark_backend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

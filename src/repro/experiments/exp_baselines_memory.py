@@ -22,11 +22,11 @@ import time
 
 import pandas as pd
 
-from ..baselines.brute import LocalBrute, SparkBrute
+from ..baselines.brute import LocalBrute
 from ..baselines.dualtrans import DualTransEngine
-from ..baselines.invidx import LocalInvIdx, SparkInvIdx
-from ..core.search import SparkLES3, attach_groups
-from ..synth_data import dataset, sample_queries, sets_df
+from ..baselines.invidx import LocalInvIdx
+from ..spark_backend import SparkBrute, SparkInvIdx, SparkLES3, attach_groups, sets_df
+from ..synth_data import dataset, sample_queries
 from .common import build_les3, timed_queries
 
 DELTAS = (0.9, 0.8, 0.7, 0.6, 0.5)

@@ -6,65 +6,27 @@
 - :func:`powerlaw_sim_db` controls the pairwise-similarity tail for the
   TGM-vs-HTGM experiment (§7.7).
 - :func:`sample_queries` draws a query workload from a database (§7.1).
-- :func:`sets_df` lifts a :class:`SetDB` into a Spark ``(sid, tokens)``
-  DataFrame; :func:`orders_as_sets` turns a small TPC-H-style
-  ``lineitem`` table into one set of part keys per order.
+
+The Spark frames, ``sets_df`` among them, live in :mod:`repro.spark_backend`.
 
 Every generator is deterministic in ``seed``, so engines and the DuckDB
 oracle see identical input.
 """
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from dataclasses import dataclass
+from typing import Dict, List
 
-_N_LINEITEM_PER_SF = 6_000_000
-_N_ORDERS_PER_SF = 1_500_000
-_N_PART_PER_SF = 200_000
+import numpy as np
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    n = max(1, int(_N_LINEITEM_PER_SF * sf))
-    n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "l_orderkey": g.integers(1, n_orders + 1, n),
-            "l_partkey": g.integers(1, n_part + 1, n),
-            "l_linenumber": g.integers(1, 8, n),
-            "l_quantity": g.integers(1, 51, n).astype("float64"),
-            "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
-            "l_discount": (g.random(n) * 0.1).round(2),
-            "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-# ---------------------------------------------------------------------------
-# Set-similarity workloads (LES^3 reproduction).
-#
 # The paper evaluates on KOSARAK / LIVEJ / DBLP / AOL / FS / PMC (Table 2).
 # Offline, we generate synthetic databases matching each dataset's *shape*:
 # number of sets |D|, token-universe size |T|, set-size min/max/avg, and a
 # Zipfian token-frequency distribution, scaled down by `scale`. See
 # DESIGN.md (Substitutions) for the rationale.
-# ---------------------------------------------------------------------------
-from dataclasses import dataclass, field
-from typing import Dict, List
-
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
-
-
 @dataclass
 class SetDB:
     """A driver-resident set database: ``sets[i]`` is a sorted int64 array."""
@@ -246,39 +208,18 @@ def powerlaw_sim_db(
     return SetDB(sets=sets, n_tokens=n_tokens, name=f"powerlaw(a={alpha})")
 
 
-SETS_SCHEMA = T.StructType(
-    [
-        T.StructField("sid", T.LongType(), False),
-        T.StructField("tokens", T.ArrayType(T.LongType()), False),
-    ]
-)
-
-
-def sets_df(spark: SparkSession, db: SetDB) -> DataFrame:
-    """Lift a :class:`SetDB` into a Spark DataFrame ``(sid, tokens)``."""
-    pdf = pd.DataFrame(
-        {"sid": np.arange(len(db.sets), dtype=np.int64),
-         "tokens": [s.tolist() for s in db.sets]}
-    )
-    return spark.createDataFrame(pdf, schema=SETS_SCHEMA)
-
-
-def orders_as_sets(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    """TPC-H tie-in: each order becomes the set of part keys it touches.
-
-    This is the classic dedup-similarity framing of relational data (near
-    duplicate orders share parts) and lets the provided DuckDB oracle
-    exercise the full pipeline on TPC-H-lite input.
-    """
-    li = lineitem(spark, sf=sf, seed=seed)
-    return (
-        li.groupBy(F.col("l_orderkey").alias("sid"))
-        .agg(F.array_sort(F.collect_set("l_partkey")).alias("tokens"))
-    )
-
-
 def sample_queries(db: SetDB, *, n: int = 100, seed: int = 13) -> List[np.ndarray]:
     """Random query workload drawn from the database (paper §7.1)."""
     g = _rng(seed)
     idx = g.choice(len(db.sets), size=min(n, len(db.sets)), replace=False)
     return [db.sets[i] for i in idx]
+
+
+def __getattr__(name: str):
+    """A lazy re-export from :mod:`repro.spark_backend` for the
+    benchmark, which imports ``sets_df`` from here."""
+    if name == "sets_df":
+        from . import spark_backend
+
+        return spark_backend.sets_df
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,7 @@ def engines(db):
 
 class TestExactness:
     @pytest.mark.parametrize("name", ["invidx", "dualtrans"])
-    @pytest.mark.parametrize("delta", [0.9, 0.6, 0.3])
+    @pytest.mark.parametrize("delta", [0.9, 0.6, 0.3, 0.0])
     def test_range_matches_brute(self, db, engines, name, delta):
         for q in sample_queries(db, n=6, seed=31):
             got, _ = engines[name].range(q, delta)

@@ -8,11 +8,12 @@ import pandas as pd
 import pytest
 
 from repro import synth_data as sd
-from repro.core.search import LocalLES3, SparkLES3, attach_groups
+from repro.core.search import LocalLES3
 from repro.core.similarity import MEASURES, sim_fn, tokens
 from repro.core.tgm import TGM
 from repro.core.l2p import l2p_partition
 from repro.core.ptr import ptr
+from repro.spark_backend import SparkLES3, attach_groups, sets_df
 
 # Sim(Q, S) over the oracle's per-pair tables: c = |Q∩S|, ds.sz = |S|,
 # qs.sz = |Q| (written apart from the program's own formula table)
@@ -33,7 +34,7 @@ def small_db():
 
 
 def _engines(spark, db, groups, tgm):
-    data = attach_groups(spark, sd.sets_df(spark, db), groups).cache()
+    data = attach_groups(spark, sets_df(spark, db), groups).cache()
     data.count()
     return {m: SparkLES3(spark, data, tgm, measure=m) for m in MEASURES}
 
@@ -50,13 +51,17 @@ def _brute_range(db, q, delta, measure):
 
 @pytest.mark.parametrize("delta", [0.9, 0.7, 0.5])
 def test_range_batch_matches_brute_force(spark_engines, small_db, delta):
-    db, _, _ = small_db
+    """The same sids as a brute-force scan, in the local engine's
+    ``(-sim, sid)`` order with the same similarities."""
+    db, _, tgm = small_db
     queries = sd.sample_queries(db, n=8, seed=21)
     for measure, engine in spark_engines.items():
+        local = LocalLES3(db.sets, tgm, measure)
         out, stats = engine.range_batch(queries, delta)
         for qid, q in enumerate(queries):
-            got = sorted(out.loc[out["qid"] == qid, "sid"].tolist())
-            assert got == _brute_range(db, q, delta, measure), (measure, qid)
+            got = out.loc[out["qid"] == qid]
+            assert sorted(got["sid"]) == _brute_range(db, q, delta, measure), (measure, qid)
+            assert list(zip(got["sid"], got["sim"])) == local.range(q, delta)[0], (measure, qid)
             assert stats.per_query[qid].n_results == len(got)
         assert len(stats.per_query) == len(queries)
 
@@ -135,6 +140,6 @@ def test_empty_set_and_empty_query_at_delta_zero(spark):
         local = LocalLES3(db.sets, tgm, measure)
         out, _ = engine.range_batch(queries, 0.0)
         for qid, q in enumerate(queries):
-            got = out.loc[out["qid"] == qid].sort_values("sid")
-            exp = sorted(local.range(q, 0.0)[0])
+            got = out.loc[out["qid"] == qid]
+            exp = local.range(q, 0.0)[0]
             assert list(zip(got["sid"], got["sim"])) == exp, (measure, qid)

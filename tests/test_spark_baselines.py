@@ -2,8 +2,9 @@
 import pytest
 
 from repro import synth_data as sd
-from repro.baselines.brute import LocalBrute, SparkBrute
-from repro.baselines.invidx import LocalInvIdx, SparkInvIdx
+from repro.baselines.brute import LocalBrute
+from repro.baselines.invidx import LocalInvIdx
+from repro.spark_backend import SparkBrute, SparkInvIdx, sets_df
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +14,7 @@ def db():
 
 @pytest.fixture(scope="module")
 def data(spark, db):
-    d = sd.sets_df(spark, db).cache()
+    d = sets_df(spark, db).cache()
     d.count()
     return d
 
@@ -30,7 +31,7 @@ def _answer(out, qid):
 
 
 class TestSparkBrute:
-    @pytest.mark.parametrize("delta", [0.8, 0.5])
+    @pytest.mark.parametrize("delta", [0.8, 0.5, 0.0])
     def test_range_matches_local(self, spark, db, data, queries, delta):
         out = SparkBrute(spark, data).range_batch(queries, delta)
         local = LocalBrute(db.sets)
@@ -54,7 +55,7 @@ class TestSparkInvIdx:
     def engine(self, spark, data, db):
         return SparkInvIdx(spark, data, db.n_tokens)
 
-    @pytest.mark.parametrize("delta", [0.8, 0.5])
+    @pytest.mark.parametrize("delta", [0.8, 0.5, 0.0])
     def test_range_matches_local(self, db, engine, queries, delta):
         out = engine.range_batch(queries, delta)
         local = LocalInvIdx(db.sets, db.n_tokens)

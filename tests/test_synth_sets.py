@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro import spark_backend as sb
 from repro import synth_data as sd
 
 
@@ -112,7 +113,7 @@ class TestQueries:
 class TestSparkIntegration:
     def test_sets_df_roundtrip(self, spark):
         db = sd.gen_sets(n_sets=40, n_tokens=60, avg_size=5, seed=6)
-        pdf = sd.sets_df(spark, db).orderBy("sid").toPandas()
+        pdf = sb.sets_df(spark, db).orderBy("sid").toPandas()
         assert len(pdf) == 40
         for i, row in pdf.iterrows():
             np.testing.assert_array_equal(np.array(row["tokens"]), db.sets[row["sid"]])
@@ -123,8 +124,8 @@ class TestSparkIntegration:
         from repro.oracle import assert_equivalent
         from pyspark.sql import functions as F
 
-        li = sd.lineitem(spark, sf=0.002, seed=0)
-        got = sd.orders_as_sets(spark, sf=0.002, seed=0).select(
+        li = sb.lineitem(spark, sf=0.002, seed=0)
+        got = sb.orders_as_sets(spark, sf=0.002, seed=0).select(
             "sid", F.size("tokens").alias("n_parts")
         )
         assert_equivalent(

@@ -9,10 +9,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro import synth_data as sd
+from repro import spark_backend as sb
 from repro.core.l2p import l2p_partition
 from repro.core.ptr import ptr
-from repro.core.search import SparkLES3, attach_groups
 from repro.core.tgm import TGM
 from repro.oracle import assert_equivalent
 
@@ -20,8 +19,8 @@ from repro.oracle import assert_equivalent
 @pytest.fixture(scope="module")
 def pipeline(spark):
     sf, seed = 0.002, 0
-    li = sd.lineitem(spark, sf=sf, seed=seed)
-    odf = sd.orders_as_sets(spark, sf=sf, seed=seed)
+    li = sb.lineitem(spark, sf=sf, seed=seed)
+    odf = sb.orders_as_sets(spark, sf=sf, seed=seed)
     pdf = odf.orderBy("sid").toPandas()
     sets = [np.array(t, dtype=np.int64) for t in pdf["tokens"]]
     sids = pdf["sid"].to_numpy()
@@ -40,7 +39,7 @@ def pipeline(spark):
     # remap TGM member lists from positional ids to order keys
     for g in range(tgm.n_groups):
         tgm.group_members[g] = [int(sids[i]) for i in tgm.group_members[g]]
-    return li, sets, sids, SparkLES3(spark, data, tgm)
+    return li, sets, sids, sb.SparkLES3(spark, data, tgm)
 
 
 def test_range_search_on_orders_matches_relational_oracle(spark, pipeline):
