@@ -70,9 +70,6 @@ def l2p_partition(
     n_init: int = 8,
     min_group: int = 50,
     n_pairs: int = 4000,
-    epochs: int = 3,
-    batch_size: int = 256,
-    lr: float = 0.05,
     measure: str = "jaccard",
     seed: int = 0,
     use_init: bool = True,
@@ -84,6 +81,8 @@ def l2p_partition(
     pairwise similarities for the loss. Groups stop splitting below
     ``min_group`` members, so fewer than ``n_groups`` groups can result
     on tiny databases, matching the paper's level-``i`` bound ``<= 2^i``.
+    Each network trains with :meth:`SiameseMLP.train`'s defaults (3
+    epochs, batch 256, learning rate 0.05).
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     n = len(sets)
@@ -113,15 +112,7 @@ def l2p_partition(
             model = SiameseMLP(reps.shape[1], seed=int(rng.integers(1 << 31)))
             pr = sample_pairs(len(members), min(n_pairs, len(members) ** 2), rng)
             dists = 1.0 - pair_sims(sets, members[pr[:, 0]], members[pr[:, 1]], measure)
-            stats = model.train(
-                reps[members],
-                pr,
-                dists,
-                epochs=epochs,
-                batch_size=batch_size,
-                lr=lr,
-                seed=int(rng.integers(1 << 31)),
-            )
+            stats = model.train(reps[members], pr, dists, seed=int(rng.integers(1 << 31)))
             loss_curves.append(stats.epoch_losses)
             half = model.assign(reps[members])
             new_labels[members] = next_id + half

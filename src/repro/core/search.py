@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .packed import PackedSets, PreparedQuery
-from .tgm import HTGM, TGM, surviving_groups
+from .tgm import HTGM, TGM
 
 
 @dataclass
@@ -43,8 +43,8 @@ class SearchStats:
 class LocalLES3:
     """Filter-and-verify over a driver-resident database.
 
-    The index is a list of TGM levels, coarse to fine: the HTGM's levels
-    and child maps, or the one TGM given, which is the one-level case.
+    The index is a list of TGM levels, coarse to fine: an HTGM's levels
+    and child maps, or a TGM, which is the one-level case.
     The sets are stored group by group in the order of the finest level,
     so group ``g`` is the run ``gstart[g]:gstart[g + 1]`` of stored
     positions in the shared verify kernel (see core/packed.py), which
@@ -59,18 +59,10 @@ class LocalLES3:
     stats counts what Equation (2) alone would verify.
     """
 
-    def __init__(
-        self,
-        sets: Sequence[np.ndarray],
-        tgm: TGM,
-        measure: str = "jaccard",
-        htgm: HTGM | None = None,
-    ):
-        self.sets = sets
-        self.tgm = tgm
-        self.htgm = htgm
+    def __init__(self, sets: Sequence[np.ndarray], index: TGM | HTGM, measure: str = "jaccard"):
         self.measure = measure
-        self.levels, self.children = (htgm.tgms, htgm.children) if htgm else ([tgm], [])
+        hier = isinstance(index, HTGM)
+        self.levels, self.children = (index.tgms, index.children) if hier else ([index], [])
         members = self.levels[-1].group_members
         self.gsize = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
         self.gstart = np.zeros(len(members) + 1, dtype=np.int64)
@@ -116,15 +108,28 @@ class LocalLES3:
 
     # -- range -------------------------------------------------------------
     def range(self, query: np.ndarray, delta: float) -> Tuple[List[Tuple[int, float]], SearchStats]:
-        """All sets with ``Sim(Q, S) >= delta`` (Definition 2.2). The
-        level walk prunes by Equation (2); a surviving finest group is
-        verified if its size-windowed bound also clears ``delta``."""
+        """All sets with ``Sim(Q, S) >= delta`` (Definition 2.2): the
+        finest groups whose Equation (2) bound and size-windowed bound
+        both clear ``delta`` are verified.
+
+        HTGM levels nest, so a finest group's token union lies inside each
+        of its ancestors' and no ancestor's Equation (2) bound is below
+        its own: pruning coarse to fine keeps exactly the finest groups
+        whose own Equation (2) bound clears ``delta``. ``index_elems``
+        counts the matrix cells that walk reads, ``|Q|`` per group of the
+        first level and per child of each coarser group it keeps.
+        """
         st = SearchStats()
         prep = self.packed.prepare(query)
         ubs = self._bounds(prep.tokens)
-        groups, st.index_elems = surviving_groups([u[0] for u in ubs], self.children, delta, len(prep.tokens))
-        st.tgm_candidates = int(self.gsize[groups].sum())
-        groups = groups[ubs[-1][1][groups] >= delta]
+        eq2, sized = ubs[-1]
+        passed = eq2 >= delta
+        st.tgm_candidates = int(self.gsize[passed].sum())
+        groups = np.flatnonzero(passed & (sized >= delta))
+        read = len(ubs[0][0])
+        for kids, (u, _) in zip(self.children, ubs):
+            read += sum(len(kids[g]) for g in np.flatnonzero(u >= delta).tolist())
+        st.index_elems = read * len(prep.tokens)
         st.n_candidates = int(self.gsize[groups].sum())
         st.n_groups_verified = int(np.count_nonzero(self.gsize[groups]))
         # groups are stored in label order, so each run of consecutive

@@ -116,55 +116,30 @@ class TGM:
 class HTGM:
     """Hierarchical TGM (paper §5.2): one TGM per cascade level.
 
-    ``levels`` must be coarse→fine label arrays over the same sets (e.g.
-    ``L2PResult.levels`` picked at two or more depths). A group pruned at
-    a coarse level removes all its fine-level children from
-    consideration; :func:`surviving_groups` over the levels' bounds and
-    ``children`` returns surviving fine groups plus the number of matrix
-    elements consulted (the index-access cost measure of §7.7).
+    ``levels`` are coarse→fine label arrays over the same sets (e.g.
+    ``L2PResult.levels`` picked at two or more depths), and they must
+    nest: every group of a finer level lies inside one group of the level
+    above, as a cascade's levels do. ``children[i][g]`` are the sorted
+    level-(i+1) groups under level-i group ``g``. Because a child's token
+    union lies inside its parent's, no child's TGM bound (Equation 2)
+    exceeds its parent's.
     """
 
     def __init__(self, sets: Sequence[np.ndarray], levels: Sequence[np.ndarray]):
         assert len(levels) >= 1
-        self.levels = [np.asarray(l) for l in levels]
-        self.tgms = [TGM.from_partition(sets, l) for l in self.levels]
-        # children[i][g]: sorted level-(i+1) groups under level-i group g
+        levels = [np.asarray(l) for l in levels]
+        self.tgms = [TGM.from_partition(sets, l) for l in levels]
         self.children: List[List[np.ndarray]] = []
-        for a, b in zip(self.levels[:-1], self.levels[1:]):
+        for a, b in zip(levels[:-1], levels[1:]):
             la, ia = np.unique(a, return_inverse=True)
             lb, ib = np.unique(b, return_inverse=True)
             pairs = np.unique(ia * len(lb) + ib)
+            if len(pairs) > len(lb):
+                raise ValueError(
+                    "HTGM levels must nest: a group has members under two groups of the level above"
+                )
             per_parent = np.bincount(pairs // len(lb), minlength=len(la))
             self.children.append(np.split(pairs % len(lb), np.cumsum(per_parent)[:-1]))
 
-    @property
-    def fine(self) -> TGM:
-        return self.tgms[-1]
-
     def index_bytes(self) -> int:
         return sum(t.index_bytes() for t in self.tgms)
-
-
-def surviving_groups(
-    bounds: Sequence[np.ndarray],
-    children: Sequence[Sequence[np.ndarray]],
-    threshold: float,
-    q_size: int,
-) -> tuple[np.ndarray, int]:
-    """The range filter over TGM levels (one level is a flat TGM): the
-    last level's groups whose bound clears ``threshold`` at every level,
-    given each level's bounds coarse to fine, plus
-    ``|alive groups| · |Q|`` matrix elements accessed per level.
-    ``children[i][g]`` are the level-(i+1) groups under level-i group
-    ``g``."""
-    alive = np.arange(len(bounds[0]))
-    accessed = 0
-    for li, ub in enumerate(bounds):
-        if li > 0:
-            kids = [children[li - 1][g] for g in alive]
-            alive = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *kids]))
-        if len(alive) == 0:
-            return alive, accessed
-        accessed += len(alive) * q_size
-        alive = alive[ub[alive] >= threshold]
-    return alive, accessed

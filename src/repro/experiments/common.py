@@ -40,36 +40,30 @@ def build_les3(
     db: SetDB,
     *,
     n_groups: int | None = None,
-    rep: str = "ptr",
     reps: np.ndarray | None = None,
-    min_group: int = 10,
     n_pairs: int = 2000,
-    measure: str = "jaccard",
-    use_init: bool = False,
-    n_init: int = 8,
     seed: int = 0,
 ) -> Les3Build:
-    """PTR → L2P → TGM → local engine, with each stage timed.
+    """PTR → L2P → TGM → Jaccard local engine, with each stage timed.
 
-    ``use_init`` defaults to the fully learned cascade: the paper's
-    min-token initialization is an efficiency shortcut for its real
-    datasets, but on synthetic data the minimal token is usually a
-    popular noise token, so the init chunks mix clusters and measurably
-    hurt pruning (see DESIGN.md); §7.2 covers the init path explicitly.
+    The cascade is fully learned, with groups of fewer than 10 sets left
+    unsplit. The paper's min-token initialization is an efficiency
+    shortcut for its real datasets, but on synthetic data the minimal
+    token is usually a popular noise token, so the init chunks mix
+    clusters and measurably hurt pruning (see DESIGN.md); §7.2 and the
+    tests cover the init path through :func:`.l2p.l2p_partition`.
     """
     t0 = time.perf_counter()
     if reps is None:
-        reps = represent(db.sets, db.n_tokens, rep)
+        reps = represent(db.sets, db.n_tokens)
     rep_seconds = time.perf_counter() - t0
     l2p = l2p_partition(
         reps,
         db.sets,
         n_groups=n_groups or default_groups(len(db.sets)),
-        n_init=min(n_init, max(1, len(db.sets) // (2 * min_group))),
-        use_init=use_init,
-        min_group=min_group,
+        use_init=False,
+        min_group=10,
         n_pairs=n_pairs,
-        measure=measure,
         seed=seed,
     )
     tgm = TGM.from_partition(db.sets, l2p.groups)
@@ -77,7 +71,7 @@ def build_les3(
         db=db,
         l2p=l2p,
         tgm=tgm,
-        engine=LocalLES3(db.sets, tgm, measure),
+        engine=LocalLES3(db.sets, tgm),
         rep_seconds=rep_seconds,
         partition_seconds=l2p.train_seconds,
     )

@@ -15,11 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..core.ptr import ptr
-from ..core.l2p import l2p_partition
 from ..core.search import LocalLES3
 from ..core.tgm import HTGM
 from ..synth_data import powerlaw_sim_db, sample_queries
+from .common import build_les3
 
 
 def run(
@@ -38,27 +37,19 @@ def run(
         db = powerlaw_sim_db(
             n_sets=n_sets, n_tokens=n_tokens, alpha=alpha, seed=seed
         )
-        reps = ptr(db.sets, db.n_tokens)
         # fully learned cascade (no min-token init): the paper's HTGM uses
         # learned partitionings at both levels (e.g. level 5 and level 8)
-        part = l2p_partition(
-            reps, db.sets, n_groups=fine_groups, use_init=False,
-            min_group=10, n_pairs=2000, seed=seed,
-        )
+        b = build_les3(db, n_groups=fine_groups, seed=seed)
         coarse = next(
-            l for l in part.levels if len(np.unique(l)) >= coarse_groups
+            l for l in b.l2p.levels if len(np.unique(l)) >= coarse_groups
         )
-        fine = part.levels[-1]
-        htgm = HTGM(db.sets, [coarse, fine])
-        flat = LocalLES3(db.sets, htgm.fine)
-        hier = LocalLES3(db.sets, htgm.fine, htgm=htgm)
+        fine = b.l2p.groups
+        flat = b.engine
+        hier = LocalLES3(db.sets, HTGM(db.sets, [coarse, fine]))
         queries = sample_queries(db, n=n_queries, seed=seed + 1)
         res_flat, st_flat = zip(*(flat.knn(q, k) for q in queries))
         res_hier, st_hier = zip(*(hier.knn(q, k) for q in queries))
-        for a, b in zip(res_flat, res_hier):
-            assert sorted(round(v, 9) for _, v in a) == sorted(
-                round(v, 9) for _, v in b
-            ), "HTGM must return the same kNN results as TGM"
+        assert res_flat == res_hier, "HTGM must return the same kNN results as TGM"
         access_ratio = sum(s.index_elems for s in st_hier) / max(
             1, sum(s.index_elems for s in st_flat)
         )

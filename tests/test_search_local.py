@@ -12,8 +12,10 @@ from repro.core.search import LocalLES3, SearchStats
 from repro.core.similarity import (
     MEASURES, cosine, group_upper_bounds, pair_sim_from_counts, sim_fn, tokens,
 )
-from repro.core.tgm import HTGM, TGM, surviving_groups
+from repro.core.tgm import HTGM, TGM
 from repro.synth_data import dataset, gen_sets, powerlaw_sim_db, sample_queries
+
+from tests.test_tgm import surviving_groups
 
 
 def build(db, n_groups=12, seed=0, measure="jaccard"):
@@ -156,7 +158,7 @@ class TestHierarchicalSearch:
         coarse = next(l for l in part.levels if len(np.unique(l)) >= 4)
         tgm = TGM.from_partition(db.sets, part.groups)
         flat = LocalLES3(db.sets, tgm)
-        hier = LocalLES3(db.sets, tgm, htgm=HTGM(db.sets, [coarse, part.groups]))
+        hier = LocalLES3(db.sets, HTGM(db.sets, [coarse, part.groups]))
         return db, flat, hier
 
     @pytest.mark.parametrize("k", [1, 5, 20])
@@ -179,60 +181,62 @@ class TestHierarchicalSearch:
 
 
 # -- the verify loop before group-contiguous storage ------------------------
-def _ref_verify(eng, tgm, g, q, st):
+def _ref_levels(index):
+    """An index's TGM levels, coarse to fine, and its child maps."""
+    return (index.tgms, index.children) if isinstance(index, HTGM) else ([index], [])
+
+
+def _ref_verify(sets, measure, tgm, g, q, st):
     """Group ``g``'s member sids and their scalar similarities, counted
     as the per-candidate loop counted them."""
     sids = tgm.group_members[g]
     if sids:
         st.n_candidates += len(sids)
         st.n_groups_verified += 1
-    f = sim_fn(eng.measure)
-    return [(s, f(q, eng.sets[s])) for s in sids]
+    f = sim_fn(measure)
+    return [(s, f(q, sets[s])) for s in sids]
 
 
-def _ref_windows(eng):
+def _ref_windows(sets, index):
     """Per level, coarse to fine, each group's size window as scalars: a
     finest group's from its members' distinct tokens, a coarse group's
     spanning its children's."""
-    tgms = eng.htgm.tgms if eng.htgm else [eng.tgm]
-    lo, hi = size_window(eng.sets, tgms[-1])
+    tgms, children = _ref_levels(index)
+    lo, hi = size_window(sets, tgms[-1])
     wins = [list(zip(lo.tolist(), hi.tolist()))]
-    for kids in reversed(eng.htgm.children if eng.htgm else []):
+    for kids in reversed(children):
         finer = wins[0]
         wins.insert(0, [(min(finer[c][0] for c in ks), max(finer[c][1] for c in ks)) for ks in kids])
     return wins
 
 
-def _ref_ubs(eng, level, q, wins):
-    """Every group's bound at ``level``: Equation (2), or with the
+def _ref_ubs(tgm, measure, q, wins):
+    """Every group's bound in ``tgm``: Equation (2), or with the level's
     windows ``wins`` the size-windowed bound, one scalar at a time."""
-    tgm = (eng.htgm.tgms if eng.htgm else [eng.tgm])[level]
     counts = tgm.match_counts(q)
     if wins is None:
-        return group_upper_bounds(counts, len(q), eng.measure)
+        return group_upper_bounds(counts, len(q), measure)
     out = []
-    for c, (lo, hi) in zip(counts.tolist(), wins[level]):
+    for c, (lo, hi) in zip(counts.tolist(), wins):
         s = min(max(c, lo), hi)
-        out.append(pair_sim_from_counts(min(c, s), len(q), s, eng.measure))
+        out.append(pair_sim_from_counts(min(c, s), len(q), s, measure))
     return np.array(out)
 
 
-def ref_range(eng, query, delta, windowed=True):
+def ref_range(sets, index, measure, query, delta, windowed=True):
+    """Range by the HTGM level walk under Equation (2), then, with
+    ``windowed``, the finest groups' size-windowed bounds."""
     st = SearchStats()
     q = np.unique(query)
-    if eng.htgm is not None:
-        h = eng.htgm
-        ubs = [t.upper_bounds(q, eng.measure) for t in h.tgms]
-        cand_groups, st.index_elems = surviving_groups(ubs, h.children, delta, len(q))
-        tgm = h.fine
-    else:
-        tgm = eng.tgm
-        st.index_elems = tgm.n_groups * len(q)
-        cand_groups = np.flatnonzero(tgm.upper_bounds(q, eng.measure) >= delta)
+    tgms, children = _ref_levels(index)
+    ubs = [t.upper_bounds(q, measure) for t in tgms]
+    cand_groups, st.index_elems = surviving_groups(ubs, children, delta, len(q))
+    st.tgm_candidates = sum(len(tgms[-1].group_members[g]) for g in cand_groups)
     if windowed:
-        ubs = _ref_ubs(eng, -1, q, _ref_windows(eng))
-        cand_groups = [g for g in cand_groups if ubs[g] >= delta]
-    out = [(s, v) for g in cand_groups for s, v in _ref_verify(eng, tgm, int(g), q, st) if v >= delta]
+        ub = _ref_ubs(tgms[-1], measure, q, _ref_windows(sets, index)[-1])
+        cand_groups = [g for g in cand_groups if ub[g] >= delta]
+    pairs = (p for g in cand_groups for p in _ref_verify(sets, measure, tgms[-1], int(g), q, st))
+    out = [(s, v) for s, v in pairs if v >= delta]
     st.n_results = len(out)
     return sorted(out, key=lambda t: (-t[1], t[0])), st
 
@@ -245,45 +249,41 @@ def _ref_push(heap, pairs, k):
             heapq.heapreplace(heap, (v, s))
 
 
-def ref_knn(eng, query, k, windowed=True):
+def ref_knn(sets, index, measure, query, k, windowed=True):
+    """kNN by the per-candidate heap loop, best-first over the levels."""
     st = SearchStats()
     q = np.unique(query)
     heap = []  # min-heap of (sim, sid)
-    wins = _ref_windows(eng) if windowed else None
-    if eng.htgm is None:
-        ubs = _ref_ubs(eng, 0, q, wins)
-        st.index_elems = eng.tgm.n_groups * len(q)
-        for g in np.argsort(-ubs, kind="stable"):
-            if len(heap) >= k and ubs[g] < heap[0][0]:
-                break
-            _ref_push(heap, _ref_verify(eng, eng.tgm, int(g), q, st), k)
-    else:
-        h = eng.htgm
-        st.index_elems = h.tgms[0].n_groups * len(q)
-        ubs0 = _ref_ubs(eng, 0, q, wins)
-        pq = [(-float(ub), g, 0, g) for g, ub in enumerate(ubs0)]
-        heapq.heapify(pq)
-        counter, last = len(pq), len(h.tgms) - 1
-        while pq:
-            neg_ub, _, level, g = heapq.heappop(pq)
-            if len(heap) >= k and -neg_ub < heap[0][0]:
-                break
-            if level == last:
-                _ref_push(heap, _ref_verify(eng, h.fine, g, q, st), k)
-                continue
-            kids = h.children[level][g]
-            st.index_elems += len(kids) * len(q)
-            ubs = _ref_ubs(eng, level + 1, q, wins)
-            for c in kids:
-                heapq.heappush(pq, (-float(ubs[c]), counter, level + 1, int(c)))
-                counter += 1
+    tgms, children = _ref_levels(index)
+    wins = _ref_windows(sets, index) if windowed else [None] * len(tgms)
+    st.index_elems = tgms[0].n_groups * len(q)
+    ubs0 = _ref_ubs(tgms[0], measure, q, wins[0])
+    pq = [(-float(ub), g, 0, g) for g, ub in enumerate(ubs0)]
+    heapq.heapify(pq)
+    counter, last = len(pq), len(tgms) - 1
+    while pq:
+        neg_ub, _, level, g = heapq.heappop(pq)
+        if len(heap) >= k and -neg_ub < heap[0][0]:
+            break
+        if level == last:
+            _ref_push(heap, _ref_verify(sets, measure, tgms[-1], g, q, st), k)
+            continue
+        kids = children[level][g]
+        st.index_elems += len(kids) * len(q)
+        ubs = _ref_ubs(tgms[level + 1], measure, q, wins[level + 1])
+        for c in kids:
+            heapq.heappush(pq, (-float(ubs[c]), counter, level + 1, int(c)))
+            counter += 1
     res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
     st.n_results = len(res)
+    # what the same loop verifies under Equation (2) alone
+    eq2 = ref_knn(sets, index, measure, query, k, windowed=False)[1] if windowed else st
+    st.tgm_candidates = eq2.n_candidates
     return res, st
 
 
 def _stats(st):
-    return (st.n_candidates, st.n_groups_verified, st.index_elems, st.n_results)
+    return (st.n_candidates, st.n_groups_verified, st.index_elems, st.n_results, st.tgm_candidates)
 
 
 class TestSameWorkAsHeapLoop:
@@ -292,7 +292,9 @@ class TestSameWorkAsHeapLoop:
     same size-windowed bounds, and answer the same; where the k-th
     similarity is tied, the answer holds the smallest sids of that
     similarity, as brute force ranks them. ``tgm_candidates`` equals
-    what the loop verifies under Equation (2) alone."""
+    what the loop verifies under Equation (2) alone. Range reads the
+    finest level only, so it must verify what the level walk verifies
+    over a flat TGM and over two- and three-level HTGMs."""
 
     @pytest.fixture(scope="class", params=["jaccard", "dice", "cosine"])
     def engines(self, request):
@@ -303,23 +305,26 @@ class TestSameWorkAsHeapLoop:
             reps, db.sets, n_groups=16, use_init=False, min_group=10,
             n_pairs=600, measure=measure, seed=0,
         )
-        coarse = next(l for l in part.levels if len(np.unique(l)) >= 4)
-        tgm = TGM.from_partition(db.sets, part.groups)
-        flat = LocalLES3(db.sets, tgm, measure)
-        hier = LocalLES3(db.sets, tgm, measure, htgm=HTGM(db.sets, [coarse, part.groups]))
+        coarser = [next(l for l in part.levels if len(np.unique(l)) >= n) for n in (2, 4)]
+        depths = [len(np.unique(l)) for l in coarser + [part.groups]]
+        assert depths == sorted(set(depths))
+        indexes = [
+            TGM.from_partition(db.sets, part.groups),
+            HTGM(db.sets, [coarser[1], part.groups]),
+            HTGM(db.sets, coarser + [part.groups]),
+        ]
         queries = sample_queries(db, n=12, seed=16) + [db.sets[3][:1], np.array([10**6])]
-        return db, measure, (flat, hier), queries
+        return db, measure, [(ix, LocalLES3(db.sets, ix, measure)) for ix in indexes], queries
 
     @pytest.mark.parametrize("delta", [0.9, 0.6, 0.3, 0.0])
     def test_range(self, engines, delta):
-        _, _, engs, queries = engines
-        for eng in engs:
+        db, measure, engs, queries = engines
+        for index, eng in engs:
             for q in queries:
                 got, st = eng.range(q, delta)
-                exp, ref_st = ref_range(eng, q, delta)
+                exp, ref_st = ref_range(db.sets, index, measure, q, delta)
                 assert got == exp
                 assert _stats(st) == _stats(ref_st)
-                assert st.tgm_candidates == ref_range(eng, q, delta, windowed=False)[1].n_candidates
 
     @pytest.mark.parametrize("k", [1, 5, 20, 600])
     def test_knn(self, engines, k):
@@ -327,11 +332,10 @@ class TestSameWorkAsHeapLoop:
         f = sim_fn(measure)
         for q in queries:
             ranked = sorted(((s, f(q, x)) for s, x in enumerate(db.sets)), key=lambda t: (-t[1], t[0]))
-            for eng in engs:
+            for index, eng in engs:
                 got, st = eng.knn(q, k)
-                exp, ref_st = ref_knn(eng, q, k)
+                exp, ref_st = ref_knn(db.sets, index, measure, q, k)
                 assert _stats(st) == _stats(ref_st)
-                assert st.tgm_candidates == ref_knn(eng, q, k, windowed=False)[1].n_candidates
                 assert [v for _, v in got] == [v for _, v in exp]
                 kth = exp[-1][1]
                 assert [p for p in got if p[1] > kth] == [p for p in exp if p[1] > kth]
@@ -345,14 +349,13 @@ class TestSameWorkAsHeapLoop:
         )]
         groups = np.array([1, 2, 2, 2, 1, 0, 0, 0, 1])
         tgm = TGM.from_partition(sets, groups)
-        flat = LocalLES3(sets, tgm)
-        hier = LocalLES3(sets, tgm, htgm=HTGM(sets, [np.zeros(len(sets), dtype=int), groups]))
+        htgm = HTGM(sets, [np.zeros(len(sets), dtype=int), groups])
         # the heap loop keeps whichever tied sets it met first
-        assert [s for s, _ in ref_knn(flat, q, 3)[0]] == [8, 5, 6]
-        for eng in (flat, hier):
-            got, st = eng.knn(q, 3)
+        assert [s for s, _ in ref_knn(sets, tgm, "jaccard", q, 3)[0]] == [8, 5, 6]
+        for index in (tgm, htgm):
+            got, st = LocalLES3(sets, index).knn(q, 3)
             assert got == [(8, 1.0), (1, 0.75), (2, 0.75)]
-            assert _stats(st) == _stats(ref_knn(eng, q, 3)[1])
+            assert _stats(st) == _stats(ref_knn(sets, index, "jaccard", q, 3)[1])
 
 
 class TestSizeWindow:
@@ -396,7 +399,7 @@ class TestSizeWindow:
         groups = np.array([0, 0, 1, 1, 2, 2])
         tgm = TGM.from_partition(sets, groups)
         flat = LocalLES3(sets, tgm, "cosine")
-        hier = LocalLES3(sets, tgm, "cosine", htgm=HTGM(sets, [groups // 2, groups]))
+        hier = LocalLES3(sets, HTGM(sets, [groups // 2, groups]), "cosine")
         tied = [0, 2, 4]  # the smin member of each group
         sims = [cosine(q, sets[s]) for s in tied]
         assert sims[0] == sims[1] > sims[2]
@@ -461,7 +464,7 @@ class TestSizeWindow:
         groups[[5, 6]] = 6  # a group of multisets only: raw lengths 4-5, sizes 1-2
         tgm = TGM.from_partition(sets, groups)
         flat = LocalLES3(sets, tgm, measure)
-        hier = LocalLES3(sets, tgm, measure, htgm=HTGM(sets, [groups % 2, groups]))
+        hier = LocalLES3(sets, HTGM(sets, [groups % 2, groups]), measure)
         brute = LocalBrute(sets, measure)
         self.check_bounds(sets, tgm, flat, sets[:10], measure)
         queries = [np.array([9]), np.array([1, 4]), np.array([4, 4, 1]), sets[0], np.empty(0, dtype=np.int64)]

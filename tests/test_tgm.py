@@ -5,7 +5,7 @@ import pytest
 from repro.core.gpo import group_token_union
 from repro.core.search import LocalLES3
 from repro.core.similarity import jaccard
-from repro.core.tgm import HTGM, TGM, surviving_groups
+from repro.core.tgm import HTGM, TGM
 from repro.synth_data import gen_sets
 
 # Figure 1: T = {A,B,C,D}; G0 = sets with A-ish tokens, G1 without A
@@ -169,32 +169,58 @@ class TestSizeAccounting:
         assert tgm.index_bytes() == 2  # 16 bits = 2 bytes
 
 
+def surviving_groups(bounds, children, threshold, q_size):
+    """The HTGM level walk of paper §5.2, the reference for range
+    pruning: given each level's bounds coarse to fine and the child maps,
+    the finest groups whose bound clears ``threshold`` at every level,
+    plus ``|Q|`` matrix elements per group the walk reads."""
+    alive = np.arange(len(bounds[0]))
+    accessed = 0
+    for li, ub in enumerate(bounds):
+        if li > 0:
+            kids = [children[li - 1][g] for g in alive]
+            alive = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *kids]))
+        if len(alive) == 0:
+            return alive, accessed
+        accessed += len(alive) * q_size
+        alive = alive[ub[alive] >= threshold]
+    return alive, accessed
+
+
 class TestHTGM:
     @pytest.fixture
     def hier(self):
         db = gen_sets(n_sets=120, n_tokens=100, avg_size=6, seed=5)
-        coarse = np.arange(120) % 4
         fine = np.arange(120) % 12
-        # make fine a strict refinement of coarse: fine % 4 == coarse
+        # fine % 4 is coarse, so fine refines it
         return db, HTGM(db.sets, [fine % 4, fine])
 
     def test_children_partition_fine_groups(self, hier):
         _, h = hier
         all_kids = sorted(np.concatenate(h.children[0]).tolist())
-        assert all_kids == list(range(h.fine.n_groups))
+        assert all_kids == list(range(h.tgms[-1].n_groups))
 
     def test_candidate_groups_conservative(self, hier):
-        """Every fine group that the flat TGM keeps must also survive
-        HTGM pruning (coarse bounds dominate child bounds)."""
+        """The level walk keeps exactly the fine groups the flat TGM
+        keeps: no child's bound exceeds its parent's."""
         db, h = hier
         for q in db.sets[:10]:
             for thr in (0.3, 0.6, 0.9):
-                flat_ubs = h.fine.upper_bounds(q)
+                flat_ubs = h.tgms[-1].upper_bounds(q)
                 flat_keep = set(np.flatnonzero(flat_ubs >= thr).tolist())
                 ubs = [t.upper_bounds(q) for t in h.tgms]
                 hier_keep, accessed = surviving_groups(ubs, h.children, thr, len(np.unique(q)))
                 assert flat_keep == set(hier_keep.tolist())
                 assert accessed > 0
+
+    def test_rejects_levels_that_do_not_nest(self):
+        db = gen_sets(n_sets=24, n_tokens=30, avg_size=4, seed=5)
+        n = len(db.sets)
+        with pytest.raises(ValueError, match="nest"):
+            HTGM(db.sets, [np.arange(n) % 3, np.arange(n) % 4])
+        with pytest.raises(ValueError, match="nest"):
+            HTGM(db.sets, [np.zeros(n), np.arange(n) % 2, np.arange(n) % 3])
+        assert len(HTGM(db.sets, [np.arange(n) % 2, np.arange(n) % 4]).children[0]) == 2
 
     def test_index_bytes_sums_levels(self, hier):
         _, h = hier
