@@ -34,6 +34,24 @@ import numpy as np
 from .similarity import sim_from_counts
 
 
+def sorted_distinct(concat: np.ndarray, lens: np.ndarray):
+    """The sets ``concat`` holds one after another, ``lens[i]`` tokens
+    each, with each set sorted and distinct: the new ``(concat, lens)``,
+    or the arrays given when every set already is."""
+    # every token must exceed its predecessor, except at a set's start
+    ok = concat[1:] > concat[:-1]
+    starts = np.cumsum(lens)[:-1]
+    ok[starts[(starts > 0) & (starts < len(concat))] - 1] = True
+    if ok.all():
+        return concat, lens
+    set_of = np.repeat(np.arange(len(lens)), lens)
+    by = np.lexsort((concat, set_of))
+    concat, set_of = concat[by], set_of[by]
+    new = np.ones(len(concat), dtype=bool)
+    new[1:] = (concat[1:] != concat[:-1]) | (set_of[1:] != set_of[:-1])
+    return concat[new], np.bincount(set_of[new], minlength=len(lens))
+
+
 class PreparedQuery(NamedTuple):
     """A query as every verify against one :class:`PackedSets` reads it."""
 
@@ -51,21 +69,9 @@ class PackedSets:
         lens = np.fromiter(map(len, parts), dtype=np.int64, count=n)
         concat = np.concatenate([np.empty(0, dtype=np.int64), *parts]).astype(np.int64, copy=False)
         del parts
+        concat, lens = sorted_distinct(concat, lens)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lens, out=offsets[1:])
-        # every token must exceed its predecessor, except at a set's start
-        ok = concat[1:] > concat[:-1]
-        starts = offsets[1:-1]
-        ok[starts[(starts > 0) & (starts < len(concat))] - 1] = True
-        if not ok.all():  # some set is unsorted or repeats a token
-            set_of = np.repeat(np.arange(n), lens)
-            by = np.lexsort((concat, set_of))
-            concat, set_of = concat[by], set_of[by]
-            new = np.ones(len(concat), dtype=bool)
-            new[1:] = (concat[1:] != concat[:-1]) | (set_of[1:] != set_of[:-1])
-            concat = concat[new]
-            lens = np.bincount(set_of[new], minlength=n)
-            np.cumsum(lens, out=offsets[1:])
         self.lens = lens
         self.offsets = offsets
         self.vocab = np.unique(concat)

@@ -50,13 +50,12 @@ class LocalLES3:
     positions in the shared verify kernel (see core/packed.py), which
     every engine uses so that constant factors are comparable.
 
-    Each group also has a window of member sizes, the smallest and
-    largest distinct-token count among its members (a coarse group's
-    window spans its children's). Groups are pruned and ordered by the
-    TGM bound evaluated over that window, which is never above the TGM
-    bound (Equation 2) and never below a member's similarity
-    (:func:`.similarity.group_upper_bounds`). ``tgm_candidates`` in the
-    stats counts what Equation (2) alone would verify.
+    Groups are pruned and ordered by the TGM bound evaluated over each
+    level's size windows (``TGM.smin``, ``TGM.smax``), which is never
+    above the TGM bound (Equation 2) and never below a member's
+    similarity (:func:`.similarity.group_upper_bounds`).
+    ``tgm_candidates`` in the stats counts what Equation (2) alone would
+    verify.
     """
 
     def __init__(self, sets: Sequence[np.ndarray], index: TGM | HTGM, measure: str = "jaccard"):
@@ -69,32 +68,12 @@ class LocalLES3:
         np.cumsum(self.gsize, out=self.gstart[1:])
         order = np.fromiter(chain.from_iterable(members), dtype=np.int64, count=int(self.gstart[-1]))
         self.packed = PackedSets(sets, order)
-        # each finest group's smallest and largest member size ([0, 0]
-        # for an empty group), then each coarser level's from its children
-        self.smin = np.zeros(len(members), dtype=np.int64)
-        self.smax = np.zeros(len(members), dtype=np.int64)
-        full = self.gsize > 0
-        if full.any():
-            starts = self.gstart[:-1][full]
-            self.smin[full] = np.minimum.reduceat(self.packed.lens, starts)
-            self.smax[full] = np.maximum.reduceat(self.packed.lens, starts)
-        lo, hi = self.smin, self.smax
-        windows = [(lo, hi)]
-        for kids in reversed(self.children):
-            lo = np.array([lo[c].min() for c in kids])
-            hi = np.array([hi[c].max() for c in kids])
-            windows.append((lo, hi))
-        # stacked under the window [0, ∞), whose bound is Equation (2)
-        self.windows = [
-            (np.stack([np.zeros(len(lo)), lo]), np.stack([np.full(len(hi), np.inf), hi]))
-            for lo, hi in reversed(windows)
-        ]
 
     def _bounds(self, q: np.ndarray) -> List[np.ndarray]:
         """Per level, coarse to fine, the bounds of every group from one
         read of the level's match counts: row 0 is Equation (2), row 1
         the size-windowed bound. ``q`` is sorted and distinct."""
-        return [tgm.upper_bounds(q, self.measure, w) for tgm, w in zip(self.levels, self.windows)]
+        return [tgm.upper_bounds(q, self.measure, sized=True) for tgm in self.levels]
 
     def _verify(self, q: PreparedQuery, g: int, st: SearchStats) -> Tuple[np.ndarray, np.ndarray]:
         """Similarities and sids of group ``g``'s members; an empty group
@@ -160,9 +139,12 @@ class LocalLES3:
         k-th similarity dominates is never expanded, which is where HTGM
         saves index accesses. The search stops once the k-th similarity
         dominates the next bound. Ties at the k-th similarity go to the
-        smaller sids.
+        smaller sids: a finest group tied with the k-th is skipped when
+        its first, smallest, sid follows the k-th's, and a later tied
+        group may still be verified.
         """
         top = TopK(k)
+        members = self.levels[-1].group_members
         st = SearchStats()
         prep = self.packed.prepare(query)
         n_q = len(prep.tokens)
@@ -177,7 +159,8 @@ class LocalLES3:
             if top.dominates(-neg_ub):
                 break
             if level == len(self.children):
-                top.merge(*self._verify(prep, g, st))
+                if not (members[g] and top.dominates(-neg_ub, members[g][0])):
+                    top.merge(*self._verify(prep, g, st))
                 continue
             kids = self.children[level][g].tolist()
             st.index_elems += len(kids) * n_q

@@ -152,10 +152,10 @@ def group_upper_bounds(
     measure's formula at ``s = c``. It equals ``Sim(Q, S)`` exactly for a
     member ``S = R``.
 
-    ``window = (lo, hi)`` gives each group's smallest and largest member
-    size, broadcast against ``counts`` (a stack of windows gives a stack
-    of bounds). A member of size ``s`` shares at most ``min(c, s)``
-    tokens with Q, and ``Sim(min(c, s), q, s)`` rises with ``s`` up to
+    ``window = (lo, hi)``, each group's smallest and largest member size,
+    gives two rows: this bound and the bound over the window. A member of
+    size ``s`` shares at most ``min(c, s)`` tokens with Q, and
+    ``Sim(min(c, s), q, s)`` rises with ``s`` up to
     ``s = c`` and falls after it, so over the window it peaks at
     ``s* = clip(c, lo, hi)``: the bound is ``Sim(min(c, s*), q, s*)``.
     The window ``[0, ∞)`` gives Equation (2) itself, which a narrower
@@ -163,7 +163,9 @@ def group_upper_bounds(
     bit when that member has size ``s*`` and shares ``min(c, s*)`` tokens.
     """
     c = np.asarray(counts, dtype=np.float64)
-    s = c if window is None else np.clip(c, *window)
+    s = c
+    if window is not None:  # s = c, then clip(c, lo, hi) by min/max, which cost less than np.clip
+        s = np.concatenate((c, np.minimum(np.maximum(c, window[0]), window[1]))).reshape(2, -1)
     if q_size == 0:
         return np.zeros_like(s)
     return sim_from_counts(np.minimum(c, s), q_size, s, measure)

@@ -13,6 +13,11 @@ under a closed universe and under an open universe (previously unseen
 tokens take the next rows, and ``bits`` doubles when they do not fit).
 The index is built driver-side from a partitioning; the Spark engine
 uses the same group labels.
+
+A group lists its members in sid order (``insert`` is given increasing
+sids), and keeps a window of member sizes, ``smin[g]`` to ``smax[g]``,
+counted in distinct tokens (``[0, 0]`` while empty), over which both
+engines bound it as well as by Equation (2) (DESIGN.md §6).
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from .packed import sorted_distinct
 from .similarity import group_upper_bounds
 
 
@@ -32,6 +38,8 @@ class TGM:
         self.bits = np.zeros((0, n_groups), dtype=bool)
         self.group_sizes = np.zeros(n_groups, dtype=np.int64)
         self.group_members: List[List[int]] = [[] for _ in range(n_groups)]
+        self.smin = np.zeros(n_groups, dtype=np.int64)
+        self.smax = np.zeros(n_groups, dtype=np.int64)
 
     @classmethod
     def from_partition(cls, sets: Sequence[np.ndarray], groups: np.ndarray) -> "TGM":
@@ -41,11 +49,14 @@ class TGM:
         sets every (token, group) bit. The rows come from
         ``searchsorted``, and the token array is freed before the group
         index is built: on livej-lite that holds 2.7× fewer temporary
-        bytes than ``unique(..., return_inverse=True)``.
+        bytes than ``unique(..., return_inverse=True)``. A set that is
+        unsorted or repeats a token is made distinct first, so that the
+        size windows count distinct tokens.
         """
         labels, gi = np.unique(groups, return_inverse=True)
-        lens = [len(s) for s in sets]
+        lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
         concat = np.concatenate([np.empty(0, dtype=np.int64), *sets]).astype(np.int64, copy=False)
+        concat, lens = sorted_distinct(concat, lens)
         toks = np.unique(concat)
         rows = np.searchsorted(toks, concat)
         del concat
@@ -55,7 +66,11 @@ class TGM:
         tgm.bits[rows, np.repeat(gi, lens)] = True
         tgm.group_sizes = np.bincount(gi, minlength=len(labels))
         order = np.argsort(gi, kind="stable")
-        tgm.group_members = [m.tolist() for m in np.split(order, np.cumsum(tgm.group_sizes))[:-1]]
+        ends = np.cumsum(tgm.group_sizes)
+        tgm.group_members = [m.tolist() for m in np.split(order, ends)[:-1]]
+        # every label has a member, so each group is a nonempty run of order
+        tgm.smin = np.minimum.reduceat(lens[order], ends - tgm.group_sizes)
+        tgm.smax = np.maximum.reduceat(lens[order], ends - tgm.group_sizes)
         return tgm
 
     @property
@@ -72,12 +87,13 @@ class TGM:
         rows = [r for r in map(self.row_of.get, distinct) if r is not None]
         return self.bits[rows].sum(axis=0)
 
-    def upper_bounds(self, query: np.ndarray, measure: str = "jaccard", window=None) -> np.ndarray:
+    def upper_bounds(self, query: np.ndarray, measure: str = "jaccard", sized: bool = False) -> np.ndarray:
         """``UB(Q, G_g)`` for every group (Equation 2 generalized), or
-        with ``window``, the bound over each group's member sizes
-        (:func:`.similarity.group_upper_bounds`), from one read of the
-        match counts."""
+        with ``sized``, two rows from one read of the match counts: row 0
+        is Equation (2) and row 1 the bound over each group's size window
+        (:func:`.similarity.group_upper_bounds`)."""
         q = np.unique(query).tolist()
+        window = (self.smin, self.smax) if sized else None
         return group_upper_bounds(self._counts(q), len(q), measure, window)
 
     def insert(self, tokens: np.ndarray, sid: int, measure: str = "jaccard") -> int:
@@ -88,7 +104,8 @@ class TGM:
         line with the balance property of §4. If no token is known, the
         smallest group wins outright. Unseen tokens then take the next
         rows (open-universe rule) and all of S's bits are set in that
-        group.
+        group, whose size window widens to take ``|S|`` (a first member
+        sets both ends).
         """
         toks = np.unique(tokens).tolist()
         known = [t for t in toks if t in self.row_of]
@@ -104,6 +121,8 @@ class TGM:
             grown[: len(self.bits)] = self.bits
             self.bits = grown
         self.bits[rows, g] = True
+        self.smin[g] = min(self.smin[g], len(toks)) if self.group_sizes[g] else len(toks)
+        self.smax[g] = max(self.smax[g], len(toks))
         self.group_sizes[g] += 1
         self.group_members[g].append(sid)
         return g

@@ -146,9 +146,11 @@ class SparkLES3:
     against the group-partitioned database, verified with
     :func:`.core.similarity.sim_expr` under any of the three measures.
 
-    A batch is planned on the driver as one query × group matrix of
-    upper bounds; a boolean mask over it says which groups each query
-    verifies."""
+    A batch is planned on the driver from two query × group matrices of
+    upper bounds, Equation (2) and the size-windowed bound (DESIGN.md
+    §6); a boolean mask over them says which groups each query verifies.
+    Each verify stage labels its Spark jobs (``spark.job.description``).
+    """
 
     def __init__(
         self,
@@ -163,19 +165,29 @@ class SparkLES3:
         self.measure = measure
 
     def _bounds(self, queries: Sequence[np.ndarray]) -> np.ndarray:
-        """``ubs[qid, g]``: the TGM upper bound of every group per query."""
-        ubs = [self.tgm.upper_bounds(q, self.measure) for q in queries]
-        return np.array(ubs, dtype=np.float64).reshape(len(queries), self.tgm.n_groups)
+        """``(eq2, sized)``: every group's Equation (2) and size-windowed
+        bounds per query, two query × group matrices."""
+        ubs = [self.tgm.upper_bounds(q, self.measure, sized=True) for q in queries]
+        return np.array(ubs, dtype=np.float64).reshape(len(queries), 2, -1).transpose(1, 0, 2)
 
-    def _scored(self, queries: Sequence[np.ndarray], mask: np.ndarray) -> DataFrame:
-        """``(qid, sid, sim)`` of every member of the groups in ``mask``."""
-        qdf = query_frame(self.spark, queries, [np.flatnonzero(m) for m in mask])
-        joined = self.data.join(F.broadcast(qdf), "gid")
-        return joined.select("qid", "sid", sim_expr(self.measure).alias("sim"))
+    def _verify(self, label: str, queries: Sequence[np.ndarray], mask: np.ndarray, **cut) -> pd.DataFrame:
+        """:func:`answer` over ``(qid, sid, sim)`` of every member of the
+        groups in ``mask``, with its Spark jobs described as ``label``."""
+        sc = self.spark.sparkContext
+        prev = sc.getLocalProperty("spark.job.description")
+        sc.setLocalProperty("spark.job.description", label)
+        try:
+            qdf = query_frame(self.spark, queries, [np.flatnonzero(m) for m in mask])
+            joined = self.data.join(F.broadcast(qdf), "gid")
+            return answer(joined.select("qid", "sid", sim_expr(self.measure).alias("sim")), **cut)
+        finally:
+            sc.setLocalProperty("spark.job.description", prev)
 
-    def _stats(self, queries: Sequence[np.ndarray], mask: np.ndarray, out: pd.DataFrame) -> BatchStats:
-        """Each query's ``SearchStats`` from the groups it verified and its answer rows."""
+    def _stats(self, queries: Sequence[np.ndarray], mask: np.ndarray, eq2: np.ndarray, out) -> BatchStats:
+        """Each query's ``SearchStats`` from the groups it verified, those
+        Equation (2) alone would verify (``eq2``) and its answer rows."""
         n_candidates = mask @ self.tgm.group_sizes
+        tgm_candidates = eq2 @ self.tgm.group_sizes
         n_groups = mask.sum(axis=1)
         n_results = np.bincount(out["qid"].to_numpy(dtype=np.int64), minlength=len(queries))
         return BatchStats([
@@ -184,6 +196,7 @@ class SparkLES3:
                 n_groups_verified=int(n_groups[qid]),
                 index_elems=self.tgm.n_groups * len(np.unique(q)),
                 n_results=int(n_results[qid]),
+                tgm_candidates=int(tgm_candidates[qid]),
             )
             for qid, q in enumerate(queries)
         ])
@@ -192,43 +205,59 @@ class SparkLES3:
         self, queries: Sequence[np.ndarray], delta: float
     ) -> Tuple[pd.DataFrame, BatchStats]:
         """One Spark job answers the whole query batch exactly: every
-        group with ``UB >= delta`` is verified."""
-        mask = self._bounds(queries) >= delta
+        group whose Equation (2) and size-windowed bounds reach
+        ``delta`` is verified."""
+        eq2, sized = self._bounds(queries)
+        passed = eq2 >= delta
+        mask = passed & (sized >= delta)
         out = rank_rows(pd.DataFrame(columns=["qid", "sid", "sim"]))
         if mask.any():
-            out = answer(self._scored(queries, mask), delta=float(delta))
-        return out, self._stats(queries, mask, out)
+            out = self._verify("les3 range verify", queries, mask, delta=float(delta))
+        return out, self._stats(queries, mask, passed, out)
 
     def knn_batch(
         self, queries: Sequence[np.ndarray], k: int
     ) -> Tuple[pd.DataFrame, BatchStats]:
-        """Exact batched kNN in two verification passes.
+        """Exact batched kNN in two verification passes, by the
+        size-windowed bounds.
 
-        Pass 1 verifies, per query, the UB-best groups that jointly hold
-        at least k sets, establishing a lower bound t_q on the k-th
-        similarity. Pass 2 verifies every remaining group with
-        ``UB >= t_q``; anything outside has ``Sim <= UB < t_q`` and
-        cannot enter the answer, so the first k of both passes' rows
-        are exact.
+        Pass 1 verifies every group whose bound reaches the cut: the
+        bound of the group at which the running size, best first, reaches
+        k. Its k-th row, sim t_q, is one actually found. Pass 2 verifies
+        every other group that row does not dominate (as
+        :meth:`.core.search.TopK.dominates`). A set outside both passes
+        has ``Sim <= bound <= t_q``, with a larger sid than the k-th's at
+        equality, so the first k of both passes' rows are exact, whatever
+        groups pass 1 took.
         """
         check_k(k)
-        ubs = self._bounds(queries)
-        order = np.argsort(-ubs, axis=1, kind="stable")
+        eq2, sized = self._bounds(queries)
+        order = np.argsort(-sized, axis=1, kind="stable")
         held = np.cumsum(self.tgm.group_sizes[order], axis=1)
-        # seed groups: UB-best first, up to the first whose running size reaches k
-        need = (held < k).sum(axis=1) + 1
-        seed = np.zeros_like(ubs, dtype=bool)
-        np.put_along_axis(seed, order, np.arange(ubs.shape[1]) < need[:, None], axis=1)
-        out = answer(self._scored(queries, seed), k=k)
-        # t_q is the last of a query's k rows, 0 where pass 1 found fewer
-        n = np.bincount(out["qid"].to_numpy(), minlength=len(queries))
-        t = np.zeros(len(queries))
-        full = n == k
-        t[full] = out["sim"].to_numpy()[np.cumsum(n)[full] - 1]
-        rest = (ubs >= t[:, None]) & ~seed
+        # the best-first place where the running size reaches k (or the last)
+        at = np.minimum((held < k).sum(axis=1), sized.shape[1] - 1)
+        cut = np.take_along_axis(sized, order, axis=1)[np.arange(len(queries)), at]
+        seed = sized >= cut[:, None]
+        out = self._verify("les3 knn pass 1", queries, seed, k=k)
+        t, sid = _kth(out, len(queries), k)
+        first = np.array([m[0] if m else -1 for m in self.tgm.group_members], dtype=np.int64)
+        rest = ~seed & ((sized > t[:, None]) | ((sized == t[:, None]) & (first < sid[:, None])))
         if rest.any():
-            out = rank_rows(pd.concat([out, self._scored(queries, rest).toPandas()], ignore_index=True), k)
-        return out, self._stats(queries, seed | rest, out)
+            more = self._verify("les3 knn pass 2", queries, rest)
+            out = rank_rows(pd.concat([out, more], ignore_index=True), k)
+        # Equation (2) alone verifies every group it does not place below
+        # the final k-th similarity
+        return out, self._stats(queries, seed | rest, eq2 >= _kth(out, len(queries), k)[0][:, None], out)
+
+
+def _kth(out: pd.DataFrame, n_queries: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each query's k-th row of a ranked answer, its similarity and sid;
+    0 and the largest sid where the query has fewer than k rows."""
+    n = np.bincount(out["qid"].to_numpy(dtype=np.int64), minlength=n_queries)
+    full, at = n == k, np.cumsum(n)[n == k] - 1
+    sims, sids = np.zeros(n_queries), np.full(n_queries, np.iinfo(np.int64).max)
+    sims[full], sids[full] = out["sim"].to_numpy(dtype=np.float64)[at], out["sid"].to_numpy(dtype=np.int64)[at]
+    return sims, sids
 
 
 class SparkBrute:

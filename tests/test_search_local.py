@@ -90,7 +90,8 @@ class TestStatsAccounting:
         db, part, tgm, eng, _ = built
         q = db.sets[0]
         _, st = eng.range(q, 0.5)
-        ubs = tgm.upper_bounds(q, window=size_window(db.sets, tgm))
+        assert tuple(w.tolist() for w in size_window(db.sets, tgm)) == (tgm.smin.tolist(), tgm.smax.tolist())
+        ubs = tgm.upper_bounds(q, sized=True)[1]
         cand_groups = np.flatnonzero(ubs >= 0.5)
         nonempty = [g for g in cand_groups if tgm.group_members[int(g)]]
         assert st.n_groups_verified == len(nonempty)
@@ -242,18 +243,22 @@ def ref_range(sets, index, measure, query, delta, windowed=True):
 
 
 def _ref_push(heap, pairs, k):
+    """Keep the best k pairs as ``(sim, -sid)``, so ties keep smaller sids
+    and ``heap[0]`` is the k-th in ``(-sim, sid)`` order."""
     for s, v in pairs:
         if len(heap) < k:
-            heapq.heappush(heap, (v, s))
-        elif v > heap[0][0]:
-            heapq.heapreplace(heap, (v, s))
+            heapq.heappush(heap, (v, -s))
+        elif (v, -s) > heap[0]:
+            heapq.heapreplace(heap, (v, -s))
 
 
 def ref_knn(sets, index, measure, query, k, windowed=True):
-    """kNN by the per-candidate heap loop, best-first over the levels."""
+    """kNN by the per-candidate heap loop, best-first over the levels.
+    With ``windowed``, a finest group whose bound ties the k-th similarity
+    is skipped when its smallest sid follows the k-th's."""
     st = SearchStats()
     q = np.unique(query)
-    heap = []  # min-heap of (sim, sid)
+    heap = []  # min-heap of (sim, -sid)
     tgms, children = _ref_levels(index)
     wins = _ref_windows(sets, index) if windowed else [None] * len(tgms)
     st.index_elems = tgms[0].n_groups * len(q)
@@ -266,7 +271,10 @@ def ref_knn(sets, index, measure, query, k, windowed=True):
         if len(heap) >= k and -neg_ub < heap[0][0]:
             break
         if level == last:
-            _ref_push(heap, _ref_verify(sets, measure, tgms[-1], g, q, st), k)
+            members = tgms[-1].group_members[g]
+            tied = len(heap) >= k and -neg_ub == heap[0][0]
+            if not (windowed and tied and members and min(members) > -heap[0][1]):
+                _ref_push(heap, _ref_verify(sets, measure, tgms[-1], g, q, st), k)
             continue
         kids = children[level][g]
         st.index_elems += len(kids) * len(q)
@@ -274,7 +282,7 @@ def ref_knn(sets, index, measure, query, k, windowed=True):
         for c in kids:
             heapq.heappush(pq, (-float(ubs[c]), counter, level + 1, int(c)))
             counter += 1
-    res = sorted(((s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
+    res = sorted(((-s, v) for v, s in heap), key=lambda t: (-t[1], t[0]))
     st.n_results = len(res)
     # what the same loop verifies under Equation (2) alone
     eq2 = ref_knn(sets, index, measure, query, k, windowed=False)[1] if windowed else st
@@ -341,6 +349,19 @@ class TestSameWorkAsHeapLoop:
                 assert [p for p in got if p[1] > kth] == [p for p in exp if p[1] > kth]
                 assert got == ranked[:k]
 
+    def test_empty_query_skips_groups_of_larger_sids(self):
+        """An empty query ties every bound with the k-th similarity, 0: a
+        group is verified only if its smallest sid precedes the k-th's,
+        so not every set is verified."""
+        db = gen_sets(n_sets=200, n_tokens=300, avg_size=6, seed=3)
+        _, tgm, eng = build(db, n_groups=8)
+        q = np.empty(0, dtype=np.int64)
+        for k in (1, 10, 50):
+            got, st = eng.knn(q, k)
+            assert got == [(sid, 0.0) for sid in range(k)]
+            assert st.n_candidates < len(db.sets)
+            assert _stats(st) == _stats(ref_knn(db.sets, tgm, "jaccard", q, k)[1])
+
     def test_tied_kth_similarity_keeps_smallest_sids(self):
         q = tokens([1, 2, 3, 4])
         sets = [tokens(s) for s in (
@@ -350,8 +371,8 @@ class TestSameWorkAsHeapLoop:
         groups = np.array([1, 2, 2, 2, 1, 0, 0, 0, 1])
         tgm = TGM.from_partition(sets, groups)
         htgm = HTGM(sets, [np.zeros(len(sets), dtype=int), groups])
-        # the heap loop keeps whichever tied sets it met first
-        assert [s for s, _ in ref_knn(sets, tgm, "jaccard", q, 3)[0]] == [8, 5, 6]
+        # the heap loop keeps the smallest tied sids it has met
+        assert [s for s, _ in ref_knn(sets, tgm, "jaccard", q, 3)[0]] == [8, 1, 2]
         for index in (tgm, htgm):
             got, st = LocalLES3(sets, index).knn(q, 3)
             assert got == [(8, 1.0), (1, 0.75), (2, 0.75)]
@@ -364,11 +385,11 @@ class TestSizeWindow:
 
     @staticmethod
     def check_bounds(sets, tgm, eng, queries, measure):
-        assert (eng.smin.tolist(), eng.smax.tolist()) == tuple(w.tolist() for w in size_window(sets, tgm))
+        assert (tgm.smin.tolist(), tgm.smax.tolist()) == tuple(w.tolist() for w in size_window(sets, tgm))
         for q in queries:
             prep = eng.packed.prepare(q)
-            eq2 = tgm.upper_bounds(q, measure)
-            ub = tgm.upper_bounds(q, measure, (eng.smin, eng.smax))
+            eq2, ub = tgm.upper_bounds(q, measure, sized=True)
+            assert eq2.tolist() == tgm.upper_bounds(q, measure).tolist()
             assert (ub <= eq2).all()
             for g in range(tgm.n_groups):
                 lo, hi = eng.gstart[g], eng.gstart[g + 1]
@@ -403,7 +424,7 @@ class TestSizeWindow:
         tied = [0, 2, 4]  # the smin member of each group
         sims = [cosine(q, sets[s]) for s in tied]
         assert sims[0] == sims[1] > sims[2]
-        ub = tgm.upper_bounds(q, "cosine", (flat.smin, flat.smax))
+        ub = tgm.upper_bounds(q, "cosine", sized=True)[1]
         kernel = flat.packed.sims_subset(flat.packed.prepare(q), slice(0, len(sets)), "cosine")
         by_sid = dict(zip(flat.packed.ids.tolist(), kernel.tolist()))
         assert ub.tolist() == [by_sid[s] for s in tied] == sims
@@ -432,7 +453,7 @@ class TestSizeWindow:
             tgm = TGM.from_partition(sets, groups)
             eng = LocalLES3(sets, tgm, measure)
             delta = f(q, members[edge])
-            assert tgm.upper_bounds(q, measure, (eng.smin, eng.smax))[1] == delta
+            assert tgm.upper_bounds(q, measure, sized=True)[1][1] == delta
             got, st = eng.range(q, delta)
             assert (1 + edge, delta) in got
             assert got == LocalBrute(sets, measure).range(q, delta)[0]
@@ -448,7 +469,7 @@ class TestSizeWindow:
         assert empty
         eng = LocalLES3(sets, tgm, measure)
         for q in sets + [tokens([1, 2, 3, 7, 8, 9])]:
-            assert (tgm.upper_bounds(q, measure, (eng.smin, eng.smax))[empty] == 0).all()
+            assert (tgm.upper_bounds(q, measure, sized=True)[1][empty] == 0).all()
         self.check_bounds(sets, tgm, eng, sets, measure)
 
     @pytest.mark.parametrize("measure", MEASURES)

@@ -60,15 +60,21 @@ def test_range_batch_matches_brute_force(spark_engines, small_db, delta):
         out, stats = engine.range_batch(queries, delta)
         for qid, q in enumerate(queries):
             got = out.loc[out["qid"] == qid]
+            exp, local_st = local.range(q, delta)
             assert sorted(got["sid"]) == _brute_range(db, q, delta, measure), (measure, qid)
-            assert list(zip(got["sid"], got["sim"])) == local.range(q, delta)[0], (measure, qid)
+            assert list(zip(got["sid"], got["sim"])) == exp, (measure, qid)
             assert stats.per_query[qid].n_results == len(got)
+            assert stats.per_query[qid].tgm_candidates == local_st.tgm_candidates, (measure, qid)
+            assert stats.per_query[qid].n_candidates <= stats.per_query[qid].tgm_candidates
         assert len(stats.per_query) == len(queries)
 
 
 @pytest.mark.parametrize("k", [1, 5, 20, 700])
 def test_knn_batch_matches_local_engine(spark_engines, small_db, k):
-    """k = 700 exceeds |D| = 600: every set is returned, and counted."""
+    """k = 700 exceeds |D| = 600: every set is returned, and counted.
+    ``tgm_candidates`` is the local engine's. ``n_candidates`` may exceed
+    it: pass 2 verifies groups whose bound reaches pass 1's k-th
+    similarity, which can lie below the final k-th."""
     db, _, tgm = small_db
     queries = sd.sample_queries(db, n=6, seed=22)
     for measure, engine in spark_engines.items():
@@ -76,10 +82,11 @@ def test_knn_batch_matches_local_engine(spark_engines, small_db, k):
         out, stats = engine.knn_batch(queries, k)
         for qid, q in enumerate(queries):
             got = out.loc[out["qid"] == qid]
-            exp, _ = local.knn(q, k)
+            exp, local_st = local.knn(q, k)
             assert list(zip(got["sid"], got["sim"])) == exp, (measure, qid)
             assert len(got) == min(k, len(db.sets)), measure
             assert stats.per_query[qid].n_results == len(got), measure
+            assert stats.per_query[qid].tgm_candidates == local_st.tgm_candidates, (measure, qid)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -143,3 +150,29 @@ def test_empty_set_and_empty_query_at_delta_zero(spark):
             got = out.loc[out["qid"] == qid]
             exp = local.range(q, 0.0)[0]
             assert list(zip(got["sid"], got["sim"])) == exp, (measure, qid)
+
+
+def test_multisets_match_local_engine(spark):
+    """Sets that repeat tokens or are unsorted: the TGM's size windows and
+    ``sim_expr``'s ``array_distinct`` both count distinct tokens, so
+    range and kNN agree with the local engine under every measure. Group
+    6 holds multisets only, whose raw lengths (4 and 5) lie outside their
+    distinct sizes (1 and 2)."""
+    rng = np.random.default_rng(3)
+    sets = [rng.integers(0, 25, rng.integers(1, 9)) for _ in range(60)]
+    sets[5] = np.array([9, 9, 9, 9])
+    sets[6] = np.array([4, 1, 4, 1, 4])
+    groups = np.arange(len(sets)) % 6
+    groups[[5, 6]] = 6
+    db = sd.SetDB(sets=sets, n_tokens=25)
+    tgm = TGM.from_partition(sets, groups)
+    queries = [np.array([9]), np.array([4, 4, 1]), sets[0], sets[11], np.array([3, 7, 7, 20])]
+    for measure, engine in _engines(spark, db, groups, tgm).items():
+        local = LocalLES3(sets, tgm, measure)
+        ranged, _ = engine.range_batch(queries, 0.5)
+        nearest, _ = engine.knn_batch(queries, 4)
+        for qid, q in enumerate(queries):
+            got = ranged.loc[ranged["qid"] == qid]
+            assert list(zip(got["sid"], got["sim"])) == local.range(q, 0.5)[0], (measure, qid)
+            got = nearest.loc[nearest["qid"] == qid]
+            assert list(zip(got["sid"], got["sim"])) == local.knn(q, 4)[0], (measure, qid)

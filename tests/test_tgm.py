@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.gpo import group_token_union
 from repro.core.search import LocalLES3
-from repro.core.similarity import jaccard
+from repro.core.similarity import jaccard, sim_fn
 from repro.core.tgm import HTGM, TGM
 from repro.synth_data import gen_sets
 
@@ -160,6 +160,70 @@ class TestUpdates:
         eng = LocalLES3(db.sets + [new], tgm)
         res, _ = eng.knn(new, 1)
         assert res[0] == (50, 1.0)
+
+
+def windows_of(sets, tgm):
+    """Each group's smallest and largest distinct-token member size, one
+    set at a time; ``[0, 0]`` for an empty group."""
+    sizes = [[len(np.unique(sets[s])) for s in m] for m in tgm.group_members]
+    return [min(z, default=0) for z in sizes], [max(z, default=0) for z in sizes]
+
+
+class TestSizeWindows:
+    """Each group's window of distinct-token member sizes, as
+    ``from_partition`` builds it and ``insert`` widens it."""
+
+    def test_from_partition_windows(self):
+        sets = [
+            np.array([1, 2, 3]), np.array([4]),  # group 0: sizes 3, 1
+            np.array([5, 5, 6, 5, 2]), np.array([7, 8]),  # group 1: a multiset of size 3, and 2
+            np.empty(0, dtype=np.int64),  # group 2: only the empty set
+            np.array([9, 8, 7, 6]),  # group 3: unsorted, size 4
+        ]
+        tgm = TGM.from_partition(sets, np.array([0, 0, 1, 1, 2, 3]))
+        assert (tgm.smin.tolist(), tgm.smax.tolist()) == ([1, 2, 0, 4], [3, 3, 0, 4])
+        db = gen_sets(n_sets=200, n_tokens=90, avg_size=7, seed=6)
+        big = TGM.from_partition(db.sets, np.arange(200) % 9)
+        assert (big.smin.tolist(), big.smax.tolist()) == windows_of(db.sets, big)
+
+    def test_new_tgm_windows_are_empty(self):
+        tgm = TGM(3)
+        assert tgm.smin.tolist() == tgm.smax.tolist() == [0, 0, 0]
+
+    def test_insert_widens_the_window(self):
+        tgm = TGM(3)
+        sets = [
+            np.array([0, 1, 2]),  # no known token: the first member of group 0
+            np.array([10, 11]),  # no known token: the first member of group 1
+            np.array([0, 1]),  # known tokens: group 0, below its smallest
+            np.array([10, 11, 12, 13, 13, 14]),  # unseen tokens too: group 1, size 5
+            np.array([50, 51, 52, 53, 54, 55, 56]),  # no known token: the empty group 2
+            np.array([3, 2, 1, 0]),  # known and unseen: group 0, above its largest
+        ]
+        placed = []
+        for sid, s in enumerate(sets):
+            placed.append(tgm.insert(s, sid))
+            if sid == 1:
+                assert (tgm.smin.tolist(), tgm.smax.tolist()) == ([3, 2, 0], [3, 2, 0])
+        assert placed == [0, 1, 0, 1, 2, 0]
+        assert (tgm.smin.tolist(), tgm.smax.tolist()) == ([2, 2, 7], [4, 5, 7])
+        assert (tgm.smin.tolist(), tgm.smax.tolist()) == windows_of(sets, tgm)
+        for measure in ("jaccard", "dice", "cosine"):
+            f = sim_fn(measure)
+            for q in sets + [np.array([0, 1, 2, 3, 10, 99]), np.array([13])]:
+                eq2, sized = tgm.upper_bounds(q, measure, sized=True)
+                assert (sized <= eq2).all()
+                for g, members in enumerate(tgm.group_members):
+                    assert all(sized[g] >= f(q, sets[sid]) for sid in members)
+
+    def test_coarse_windows_span_their_children(self):
+        db = gen_sets(n_sets=150, n_tokens=100, avg_size=6, seed=7)
+        fine = np.arange(150) % 12
+        h = HTGM(db.sets, [fine % 2, fine % 4, fine])
+        for level, kids in enumerate(h.children):
+            coarse, finer = h.tgms[level], h.tgms[level + 1]
+            assert coarse.smin.tolist() == [finer.smin[c].min() for c in kids]
+            assert coarse.smax.tolist() == [finer.smax[c].max() for c in kids]
 
 
 class TestSizeAccounting:
