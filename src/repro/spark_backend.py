@@ -183,7 +183,7 @@ class SparkLES3:
         finally:
             sc.setLocalProperty("spark.job.description", prev)
 
-    def _stats(self, queries: Sequence[np.ndarray], mask: np.ndarray, eq2: np.ndarray, out) -> BatchStats:
+    def _stats(self, queries: Sequence[np.ndarray], mask: np.ndarray, eq2: np.ndarray, out: pd.DataFrame) -> BatchStats:
         """Each query's ``SearchStats`` from the groups it verified, those
         Equation (2) alone would verify (``eq2``) and its answer rows."""
         n_candidates = mask @ self.tgm.group_sizes
